@@ -8,10 +8,11 @@ Two comparisons share this module:
   accuracy. Collection is pre-warmed into a shared cache so the
   comparison isolates the training/evaluation engine. Skipped on
   single-core machines, where there is no speedup to measure.
-- **Collection data plane**: the same corpus collected twice through
-  ``collect_datasets`` — the per-utterance reference pipeline, then the
-  batched pipeline — asserting byte-identical datasets and a >= 3x
-  throughput win. Both passes run after a small warm-up so process-wide
+- **Collection data plane**: the same corpus collected twice — one
+  utterance at a time through the scalar stages
+  (:func:`tests.batch.reference.reference_collect`), then through the
+  batched ``collect_datasets`` — asserting byte-identical datasets and a
+  >= 3x throughput win. Both passes run after a small warm-up so process-wide
   design caches (filter coefficients, the glottal pulse bank) are
   excluded from the comparison. The measured ratio is written to
   ``BENCH_7.json`` (override with ``EMOLEAK_DATA_BENCH_OUT``) so CI
@@ -34,6 +35,7 @@ from repro.eval.suite import TABLE_DEFINITIONS, run_table
 from repro.phone import VibrationChannel
 
 from benchmarks._common import print_header
+from tests.batch.reference import reference_collect
 
 _CORES = os.cpu_count() or 1
 
@@ -138,21 +140,22 @@ def test_batched_collection_beats_per_utterance(benchmark):
     )
     out = {}
 
-    def collect(pipeline):
-        return collect_datasets(corpus, channel, seed=0, pipeline=pipeline)
+    def reference():
+        return reference_collect(corpus, channel, seed=0)
+
+    def batched():
+        return collect_datasets(corpus, channel, seed=0)
 
     def run():
         # Warm process-wide design caches (filter coefficients, the
         # glottal pulse bank) so both timed passes start equal.
         warm = corpus.specs[:8]
-        for pipeline in ("per_utterance", "batched"):
-            collect_datasets(
-                corpus, channel, specs=warm, seed=0, pipeline=pipeline
-            )
-        out["reference"] = collect("per_utterance")
-        out["batched"] = collect("batched")
+        reference_collect(corpus, channel, specs=warm, seed=0)
+        collect_datasets(corpus, channel, specs=warm, seed=0)
+        out["reference"] = reference()
+        out["batched"] = batched()
         out["reference_s"], out["batched_s"] = _best_of_interleaved(
-            [lambda: collect("per_utterance"), lambda: collect("batched")]
+            [reference, batched]
         )
         return out
 
@@ -169,7 +172,7 @@ def test_batched_collection_beats_per_utterance(benchmark):
           f"({n / out['batched_s']:.0f} utt/s, {ratio:.2f}x)")
 
     DATA_PLANE_RESULTS.update(
-        schema_note="per_utterance vs batched collect_datasets, warm caches",
+        schema_note="serial scalar reference vs batched collect_datasets, warm caches",
         n_utterances=n,
         reference_s=out["reference_s"],
         batched_s=out["batched_s"],

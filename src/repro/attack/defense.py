@@ -188,8 +188,8 @@ class NoiseInjectionDefense(Defense):
             return trace
         # The noise stream is derived from (seed, trace content), not a
         # consumed instance RNG: the same trace always gets the same
-        # mask regardless of call order, worker thread, or pipeline
-        # (batched vs per-utterance), while different seeds still
+        # mask regardless of call order, worker thread, or chunk
+        # composition, while different seeds still
         # produce genuinely different defended streams.
         payload = np.ascontiguousarray(np.asarray(trace, dtype=np.float64))
         digest = hashlib.sha256(payload.tobytes()).digest()

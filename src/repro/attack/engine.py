@@ -1,4 +1,4 @@
-"""Parallel collection engine: work items, executors, caching, stats.
+"""Parallel collection engine: stacked chunks, executors, caching, stats.
 
 The collection stage — render each utterance, transmit it through the
 vibration channel, detect speech regions, extract the Table II features
@@ -6,11 +6,16 @@ and the 32x32 spectrogram image — dominates the cost of regenerating a
 paper table, and the per-utterance (table-top) protocol is embarrassingly
 parallel. This module turns that loop into an engine:
 
-- **Deterministic work items**: every utterance gets its *own* RNG
-  derived from ``(seed, item index)``, so the collected datasets are
+- **Stacked chunks**: utterances are grouped into chunks of
+  :data:`DEFAULT_BATCH_CHUNK` and every stage runs across the batch axis
+  (``render_batch`` → ``transmit_batch`` → ``detect_batch`` → batched
+  products). Under the default float64 batch policy the output is
+  byte-identical to the committed goldens at any chunk size.
+- **Deterministic rows**: every utterance gets its *own* RNG derived
+  from ``(seed, item index)``, so the collected datasets are
   byte-identical at any worker count and under any executor.
-- **Pluggable executors**: ``serial`` (the reference path), ``thread``
-  and ``process``; selected by name or defaulted from ``n_jobs``.
+- **Pluggable executors**: ``serial``, ``thread`` and ``process``;
+  selected by name or defaulted from ``n_jobs``.
 - **Single-pass collection**: :func:`collect_datasets` produces the
   :class:`FeatureDataset` *and* the :class:`SpectrogramDataset` from one
   shared render→transmit→detect pass, instead of paying collection twice
@@ -29,9 +34,10 @@ parallel. This module turns that loop into an engine:
 
 The continuous-session (handheld) protocol is inherently sequential —
 the hand-motion process is one continuous waveform across the session —
-so there the engine parallelises the utterance *rendering* and keeps the
-transmit chain serial, preserving the exact numerics of
-:func:`repro.phone.recording.record_session`.
+so there the engine parallelises the utterance *rendering*, keeps the
+transmit chain serial (preserving the exact numerics of
+:func:`repro.phone.recording.record_session`) and runs the shared
+product step over the session's regions in float64.
 """
 
 from __future__ import annotations
@@ -44,17 +50,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attack.features import (
-    FEATURE_NAMES,
-    extract_features,
-    extract_features_batch,
-)
+from repro.attack.features import FEATURE_NAMES, extract_features_batch
 from repro.attack.labeling import LABELING_VERSION, label_regions, match_regions
 from repro.attack.regions import Region, RegionDetector
-from repro.attack.specimages import (
-    region_spectrogram_image,
-    region_spectrogram_images_batch,
-)
+from repro.attack.specimages import region_spectrogram_images_batch
 from repro.batch import batch_dtype
 from repro.datasets.base import Corpus, UtteranceSpec, resolve_task
 from repro.dsp.filters import cached_butter_highpass, sosfilt_zero_phase
@@ -63,10 +62,14 @@ from repro.parallel import EXECUTOR_NAMES, resolve_executor
 from repro.parallel import run_tasks as _run_tasks_generic
 from repro.phone.channel import Placement, VibrationChannel
 
+# The engine runs only the batched products, but the scalar ones stay
+# importable from here: perfbench/layers.py times both by patching this
+# module's names.
+from repro.attack.features import extract_features  # noqa: F401
+from repro.attack.specimages import region_spectrogram_image  # noqa: F401
+
 __all__ = [
     "EXECUTOR_NAMES",
-    "PIPELINES",
-    "DEFAULT_PIPELINE",
     "DEFAULT_BATCH_CHUNK",
     "CollectionStats",
     "FeatureDataset",
@@ -87,24 +90,10 @@ __all__ = [
 #: region detector sees the noise floor (matches the paper's protocol).
 _UTTERANCE_PAD_S = 0.3
 
-#: Collection pipelines: ``batched`` stacks utterances into chunks and runs
-#: each stage across the batch axis (the default; byte-identical to the
-#: reference under the float64 batch policy); ``per_utterance`` is the
-#: original one-utterance-at-a-time reference path.
-PIPELINES: Tuple[str, ...] = ("batched", "per_utterance")
-DEFAULT_PIPELINE = "batched"
-
 #: Utterances per stacked batch chunk. Chunking bounds peak memory and
 #: gives the process executor work units; results are identical at any
 #: chunk size.
 DEFAULT_BATCH_CHUNK = 32
-
-
-def _resolve_pipeline(pipeline: Optional[str]) -> str:
-    name = str(pipeline or DEFAULT_PIPELINE).replace("-", "_")
-    if name not in PIPELINES:
-        raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +306,13 @@ class CollectionResult:
 
 # Per-worker context for the process executor; installed once per worker
 # via the pool initializer so the corpus/channel are pickled once, not
-# once per work item.
+# once per chunk.
 _WORKER_CONTEXT: Optional["_PassConfig"] = None
 
 
 def _init_worker(config: "_PassConfig") -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = config
-
-
-def _process_entry(index_and_spec: Tuple[int, UtteranceSpec]):
-    index, spec = index_and_spec
-    return _run_work_item(_WORKER_CONTEXT, index, spec)
 
 
 def run_tasks(
@@ -359,13 +343,13 @@ _resolve_executor = resolve_executor
 
 
 # ---------------------------------------------------------------------------
-# Work items (per-utterance protocol)
+# Stacked utterance chunks (per-utterance protocol)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _PassConfig:
-    """Everything a worker needs to process one utterance work item."""
+    """Everything a worker needs to process one chunk of utterances."""
 
     corpus: Corpus
     channel: VibrationChannel
@@ -381,18 +365,18 @@ class _PassConfig:
 
 
 def _item_rng(seed: int, index: int) -> np.random.Generator:
-    """The work item's own RNG: identical at any worker count."""
+    """An utterance's own RNG: identical at any worker count or chunk size."""
     return np.random.default_rng([0x454D4F, seed & 0xFFFFFFFF, index])
 
 
 def _item_channel(config: _PassConfig, index: int) -> VibrationChannel:
-    """A channel safe for this work item.
+    """A channel safe for utterance ``index``.
 
     Table-top transmission is stateless given an explicit RNG, so the
     shared channel can be used from any worker. Handheld transmission
-    advances the motion process, so each item gets its own reseeded copy
-    — which is also what makes per-utterance handheld collection
-    deterministic under parallelism.
+    advances the motion process, so each utterance gets its own reseeded
+    copy — which is also what makes per-utterance handheld collection
+    deterministic under parallelism and at any chunk size.
     """
     if config.channel.placement is not Placement.HANDHELD:
         return config.channel
@@ -401,159 +385,15 @@ def _item_channel(config: _PassConfig, index: int) -> VibrationChannel:
     return channel
 
 
-def _transmit_and_detect(config: _PassConfig, index: int, spec: UtteranceSpec):
-    """Render→transmit→detect one utterance work item.
+def _detect_chunk(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]]):
+    """Render→transmit→detect one stacked chunk of ``(index, spec)`` items.
 
-    Returns ``(trace, best_region|None, stats)``; the region is None when
-    the detector missed the utterance (the paper's dropped ~10 %).
-    """
-    stats = CollectionStats()
-    rng = _item_rng(config.seed, index)
-    corpus, detector = config.corpus, config.detector
-
-    with trace("render") as span:
-        audio = corpus.render(spec)
-    stats.renders += 1
-    stats.render_s += span.duration_s
-
-    # Pad with silence so the detector sees the noise floor.
-    pad = np.zeros(int(_UTTERANCE_PAD_S * corpus.audio_fs))
-    audio = np.concatenate([pad, audio, pad])
-
-    channel = _item_channel(config, index)
-    with trace("transmit") as span:
-        signal = channel.transmit(audio, corpus.audio_fs, rng)
-    stats.transmits += 1
-    stats.transmit_s += span.duration_s
-
-    if config.defense is not None:
-        signal = config.defense.postprocess(signal, channel.accel_fs)
-
-    with trace("detect") as span:
-        regions = detector.detect(signal, channel.accel_fs)
-    stats.detect_s += span.duration_s
-    stats.regions_detected += len(regions)
-    if not regions:
-        return signal, None, stats
-
-    # One utterance => take the most energetic region.
-    best = max(
-        regions,
-        key=lambda r: float(np.sum((r.slice(signal) - np.mean(r.slice(signal))) ** 2)),
-    )
-    stats.regions_used += 1
-    return signal, best, stats
-
-
-def _run_work_item(config: _PassConfig, index: int, spec: UtteranceSpec):
-    """One utterance through the full pipeline.
-
-    Returns ``(index, label|None, features|None, image|None, stats)``.
-    """
-    signal, best, stats = _transmit_and_detect(config, index, spec)
-    if best is None:
-        return index, None, None, None, stats
-
-    with trace("product") as span:
-        features = _feature_row(
-            signal, best, config.channel.accel_fs, config.feature_highpass_hz
-        )
-        image = _image_product(signal, best, config.size)
-    stats.product_s += span.duration_s
-    return index, spec.emotion, features, image, stats
-
-
-def _feature_row(
-    signal: np.ndarray,
-    region: Region,
-    fs: float,
-    feature_highpass_hz: Optional[float],
-) -> Optional[np.ndarray]:
-    """Table II feature vector for one region (None if too short)."""
-    samples = region.slice(signal)
-    if samples.size < 4:
-        return None
-    if feature_highpass_hz is not None and samples.size > 32:
-        from repro.dsp.filters import highpass
-
-        samples = highpass(samples, feature_highpass_hz, fs)
-    return extract_features(samples, fs)
-
-
-def _image_product(
-    signal: np.ndarray, region: Region, size: int
-) -> Optional[np.ndarray]:
-    """Spectrogram image for one region (None if too short)."""
-    if region.end - region.start < 8:
-        return None
-    return region_spectrogram_image(signal, region, size=size)
-
-
-def _collect_per_utterance(
-    config: _PassConfig,
-    specs: List[UtteranceSpec],
-    n_jobs: int,
-    executor: str,
-) -> Tuple[List, CollectionStats]:
-    """Fan the per-utterance work items out over the chosen executor."""
-    stats = CollectionStats(n_jobs=max(1, int(n_jobs)), executor=executor)
-    indexed = list(enumerate(specs))
-    ran_in_pool = executor == "process" and len(indexed) > 1 and n_jobs > 1
-    if ran_in_pool:
-        with ProcessPoolExecutor(
-            max_workers=max(1, int(n_jobs)),
-            initializer=_init_worker,
-            initargs=(config,),
-        ) as pool:
-            results = list(pool.map(_process_entry, indexed, chunksize=4))
-    else:
-        def run_one(pair):
-            return _run_work_item(config, pair[0], pair[1])
-
-        results = run_tasks(
-            run_one,
-            indexed,
-            n_jobs=n_jobs,
-            executor="serial" if executor == "process" else executor,
-        )
-    products = []
-    for result in results:
-        index, label, features, image, item_stats = result
-        stats.add(item_stats)
-        if label is not None:
-            products.append((index, label, features, image))
-    if ran_in_pool:
-        # Worker-process spans die with their workers; reconstruct the
-        # stage timings as aggregate spans so the parent's trace and
-        # registry still account for them (exactly once).
-        tr = tracer()
-        for field_name, span_name in _TIMER_FIELDS.items():
-            if span_name == "collect":
-                continue
-            tr.record(
-                span_name,
-                getattr(stats, field_name),
-                aggregated="worker-sum",
-                n_jobs=stats.n_jobs,
-            )
-    return products, stats
-
-
-# ---------------------------------------------------------------------------
-# Batched pipeline (stacked utterance chunks)
-# ---------------------------------------------------------------------------
-
-
-def _process_batch_entry(items: List[Tuple[int, UtteranceSpec]]):
-    return _run_batch_chunk(_WORKER_CONTEXT, items)
-
-
-def _run_batch_chunk_fast(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]]):
-    """One stacked chunk through every batched stage.
-
-    Raises on any per-row pathology (NaN audio poisoning the shared
-    detector statistics, a corpus that rejects a spec, …);
-    :func:`_run_batch_chunk` catches and degrades to per-row isolation.
+    Returns ``(signals, bests, stats)``: each row's sensor trace and its
+    most energetic region, or None where the detector missed the
+    utterance (the paper's dropped ~10 %). Raises on any per-row
+    pathology (NaN audio poisoning the shared detector statistics, a
+    corpus that rejects a spec, …); :func:`_run_batch_chunk` catches and
+    degrades to per-row isolation.
     """
     stats = CollectionStats()
     corpus, detector = config.corpus, config.detector
@@ -563,7 +403,7 @@ def _run_batch_chunk_fast(config: _PassConfig, items: Sequence[Tuple[int, Uttera
     n = len(items)
 
     render_batch = getattr(corpus, "render_batch", None)
-    with trace("render", n=n) as span:
+    with trace("render", n=n, metric_labels={}) as span:
         if render_batch is not None:
             audios = render_batch(specs)
         else:
@@ -575,10 +415,10 @@ def _run_batch_chunk_fast(config: _PassConfig, items: Sequence[Tuple[int, Uttera
     pad = np.zeros(int(_UTTERANCE_PAD_S * corpus.audio_fs))
     audios = [np.concatenate([pad, audio, pad]) for audio in audios]
 
-    with trace("transmit", n=n) as span:
+    with trace("transmit", n=n, metric_labels={}) as span:
         if config.channel.placement is Placement.HANDHELD:
             # Handheld motion is stateful: per-item reseeded clones keep
-            # the chunked run identical to the per-utterance reference.
+            # every row independent of its chunk.
             signals = [
                 _item_channel(config, index).transmit(audio, corpus.audio_fs, rng)
                 for index, audio, rng in zip(indices, audios, rngs)
@@ -590,12 +430,11 @@ def _run_batch_chunk_fast(config: _PassConfig, items: Sequence[Tuple[int, Uttera
 
     fs = config.channel.accel_fs
     if config.defense is not None:
-        # Per-row postprocess keeps the batched path byte-identical to
-        # the per-utterance reference (the defense sees exactly the same
-        # unpadded trace either way).
+        # The defense sees each unpadded trace on its own, exactly as
+        # the OS boundary would deliver it.
         signals = [config.defense.postprocess(signal, fs) for signal in signals]
     detect_batch = getattr(detector, "detect_batch", None)
-    with trace("detect", n=n) as span:
+    with trace("detect", n=n, metric_labels={}) as span:
         if detect_batch is not None:
             regions_list = detect_batch(signals, fs)
         else:
@@ -608,6 +447,7 @@ def _run_batch_chunk_fast(config: _PassConfig, items: Sequence[Tuple[int, Uttera
         if not regions:
             bests.append(None)
             continue
+        # One utterance => take the most energetic region.
         best = max(
             regions,
             key=lambda r: float(
@@ -616,48 +456,82 @@ def _run_batch_chunk_fast(config: _PassConfig, items: Sequence[Tuple[int, Uttera
         )
         stats.regions_used += 1
         bests.append(best)
+    return signals, bests, stats
 
-    dtype = batch_dtype()
-    with trace("product", n=n) as span:
-        hit = [k for k in range(n) if bests[k] is not None]
-        feat_rows, feat_pos = [], []
-        for k in hit:
-            samples = bests[k].slice(signals[k])
-            if samples.size < 4:
-                continue
-            if config.feature_highpass_hz is not None and samples.size > 32:
-                sos = cached_butter_highpass(config.feature_highpass_hz, fs, order=4)
-                samples = sosfilt_zero_phase(sos, samples)
-            feat_rows.append(samples)
-            feat_pos.append(k)
-        features_by_row: Dict[int, np.ndarray] = {}
-        if feat_rows:
-            matrix = extract_features_batch(feat_rows, fs, dtype=dtype)
-            for row_index, k in enumerate(feat_pos):
-                features_by_row[k] = matrix[row_index]
-        img_pos = [k for k in hit if bests[k].end - bests[k].start >= 8]
-        images_by_row: Dict[int, np.ndarray] = {}
-        if img_pos:
-            images = region_spectrogram_images_batch(
-                [signals[k] for k in img_pos],
-                [bests[k] for k in img_pos],
-                size=config.size,
-                dtype=dtype,
-            )
-            for k, image in zip(img_pos, images):
-                images_by_row[k] = image
+
+def _products(
+    signals: Sequence[np.ndarray],
+    regions: Sequence[Region],
+    fs: float,
+    size: int,
+    feature_highpass_hz: Optional[float],
+    dtype: np.dtype,
+) -> Tuple[List[Optional[np.ndarray]], List[Optional[np.ndarray]]]:
+    """Table II feature row and spectrogram image of each region.
+
+    ``regions[k]`` indexes into ``signals[k]``. A product is None where
+    its region is too short for it (4 samples for features, 8 for an
+    image). Both protocols share this step: stacked chunks pass the
+    batch-policy dtype, the continuous session float64.
+    """
+    features: List[Optional[np.ndarray]] = [None] * len(regions)
+    images: List[Optional[np.ndarray]] = [None] * len(regions)
+    feat_rows, feat_pos = [], []
+    for k, (signal, region) in enumerate(zip(signals, regions)):
+        samples = region.slice(signal)
+        if samples.size < 4:
+            continue
+        if feature_highpass_hz is not None and samples.size > 32:
+            sos = cached_butter_highpass(feature_highpass_hz, fs, order=4)
+            samples = sosfilt_zero_phase(sos, samples)
+        feat_rows.append(samples)
+        feat_pos.append(k)
+    if feat_rows:
+        matrix = extract_features_batch(feat_rows, fs, dtype=dtype)
+        for row, k in zip(matrix, feat_pos):
+            features[k] = row
+    img_pos = [k for k, region in enumerate(regions) if region.end - region.start >= 8]
+    if img_pos:
+        shots = region_spectrogram_images_batch(
+            [signals[k] for k in img_pos],
+            [regions[k] for k in img_pos],
+            size=size,
+            dtype=dtype,
+        )
+        for k, image in zip(img_pos, shots):
+            images[k] = image
+    return features, images
+
+
+def _process_batch_entry(items: List[Tuple[int, UtteranceSpec]]):
+    return _run_batch_chunk(_WORKER_CONTEXT, items)
+
+
+def _run_batch_chunk_fast(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]]):
+    """One stacked chunk through every batched stage (raises on a bad row).
+
+    Returns ``(rows, stats)`` with one ``(index, label|None,
+    features|None, image|None)`` row per item, in item order.
+    """
+    signals, bests, stats = _detect_chunk(config, items)
+    hit = [k for k, best in enumerate(bests) if best is not None]
+    with trace("product", n=len(items), metric_labels={}) as span:
+        features, images = _products(
+            [signals[k] for k in hit],
+            [bests[k] for k in hit],
+            config.channel.accel_fs,
+            config.size,
+            config.feature_highpass_hz,
+            batch_dtype(),
+        )
     stats.product_s += span.duration_s
 
     rows: List[Tuple[int, Optional[str], Optional[np.ndarray], Optional[np.ndarray]]] = [
-        (index, None, None, None) for index in indices
+        (index, None, None, None) for index, _ in items
     ]
-    for k in hit:
-        rows[k] = (
-            indices[k],
-            specs[k].emotion,
-            features_by_row.get(k),
-            images_by_row.get(k),
-        )
+    for k, row_features, image in zip(hit, features, images):
+        index, spec = items[k]
+        rows[k] = (index, spec.emotion, row_features, image)
     return rows, stats
 
 
@@ -665,10 +539,10 @@ def _run_batch_chunk(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSp
     """One chunk through the fast path, degrading to per-row isolation.
 
     If the stacked fast path raises — one poisoned utterance must not
-    take down its batchmates — the chunk re-runs row by row through the
-    per-utterance reference path; only the offending rows are dropped
-    (counted under ``batch.rows_isolated``), every healthy row keeps its
-    byte-identical product.
+    take down its batchmates — each row re-runs as a chunk of one; only
+    the offending rows are dropped (counted under
+    ``batch.rows_isolated``), and every healthy row keeps the exact
+    product, dtype included, of a clean pass.
     """
     try:
         return _run_batch_chunk_fast(config, items)
@@ -676,17 +550,15 @@ def _run_batch_chunk(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSp
         metrics().count("batch.chunk_fallbacks")
     stats = CollectionStats()
     rows = []
-    for index, spec in items:
+    for item in items:
         try:
-            row_index, label, features, image, item_stats = _run_work_item(
-                config, index, spec
-            )
+            (row,), row_stats = _run_batch_chunk_fast(config, [item])
         except Exception:
             metrics().count("batch.rows_isolated")
-            rows.append((index, None, None, None))
+            rows.append((item[0], None, None, None))
             continue
-        stats.add(item_stats)
-        rows.append((row_index, label, features, image))
+        stats.add(row_stats)
+        rows.append(row)
     return rows, stats
 
 
@@ -695,12 +567,11 @@ def _collect_batched(
     specs: List[UtteranceSpec],
     n_jobs: int,
     executor: str,
-    batch_chunk: int,
 ) -> Tuple[List, CollectionStats]:
     """Fan stacked utterance chunks out over the chosen executor."""
     stats = CollectionStats(n_jobs=max(1, int(n_jobs)), executor=executor)
     indexed = list(enumerate(specs))
-    chunk = max(1, int(batch_chunk))
+    chunk = DEFAULT_BATCH_CHUNK
     chunks = [indexed[i : i + chunk] for i in range(0, len(indexed), chunk)]
     ran_in_pool = executor == "process" and len(chunks) > 1 and n_jobs > 1
     if ran_in_pool:
@@ -728,8 +599,8 @@ def _collect_batched(
                 products.append((index, label, features, image))
     if ran_in_pool:
         # Worker-process spans die with their workers; reconstruct the
-        # stage timings as aggregate spans (exactly once), as the
-        # per-utterance pool path does.
+        # stage timings as aggregate spans so the parent's trace and
+        # registry still account for them (exactly once).
         tr = tracer()
         for field_name, span_name in _TIMER_FIELDS.items():
             if span_name == "collect":
@@ -754,7 +625,7 @@ def collect_per_utterance_products(
     n_jobs: int = 1,
     executor: Optional[str] = None,
 ) -> Tuple[List[Tuple[int, str, Optional[np.ndarray], Optional[np.ndarray]]], CollectionStats]:
-    """Per-utterance work items with spec provenance.
+    """Per-utterance collection products with spec provenance.
 
     Returns ``(products, stats)`` where each product is
     ``(spec_index, label, features|None, image|None)`` — the building
@@ -781,9 +652,7 @@ def collect_per_utterance_products(
         n_jobs=max(1, int(n_jobs)),
         api="products",
     ) as span:
-        products, stats = _collect_per_utterance(
-            config, specs, n_jobs, executor_name
-        )
+        products, stats = _collect_batched(config, specs, n_jobs, executor_name)
         stats.n_played = len(specs)
         stats.total_s = span.elapsed()
         _publish(stats)
@@ -800,9 +669,9 @@ def iter_region_samples(
 ):
     """Yield ``(label, region, trace)`` triples for every usable region.
 
-    Serial generator over the engine's deterministic work items — the
-    raw-material path for consumers that need region *samples* rather
-    than finished features/images (e.g. data augmentation).
+    Serial generator over the engine's stacked chunks — the raw-material
+    path for consumers that need region *samples* rather than finished
+    features/images (e.g. data augmentation).
     """
     detector = detector or _default_detector(channel)
     if continuous is None:
@@ -826,10 +695,13 @@ def iter_region_samples(
         size=32,
         feature_highpass_hz=None,
     )
-    for index, spec in enumerate(specs):
-        signal, best, _stats = _transmit_and_detect(config, index, spec)
-        if best is not None:
-            yield spec.emotion, best, signal
+    indexed = list(enumerate(specs))
+    for start in range(0, len(indexed), DEFAULT_BATCH_CHUNK):
+        chunk = indexed[start : start + DEFAULT_BATCH_CHUNK]
+        signals, bests, _stats = _detect_chunk(config, chunk)
+        for (_, spec), signal, best in zip(chunk, signals, bests):
+            if best is not None:
+                yield spec.emotion, best, signal
 
 
 # ---------------------------------------------------------------------------
@@ -889,17 +761,23 @@ def _collect_continuous(
     stats.regions_detected += len(regions)
 
     with trace("product", metric_labels={}) as span:
-        products = []
         # Product rows carry the matched playback *event* (not just its
         # emotion string) so a cached pass can be re-labelled for any
         # task — the event records speaker/utterance identity too.
-        for region, event in match_regions(regions, session.events):
-            stats.regions_used += 1
-            features = _feature_row(
-                session_trace, region, session.fs, config.feature_highpass_hz
-            )
-            image = _image_product(session_trace, region, config.size)
-            products.append((-1, event, features, image))
+        matched = list(match_regions(regions, session.events))
+        features, images = _products(
+            [session_trace] * len(matched),
+            [region for region, _ in matched],
+            session.fs,
+            config.size,
+            config.feature_highpass_hz,
+            np.dtype(np.float64),
+        )
+        products = [
+            (-1, event, row_features, image)
+            for (_, event), row_features, image in zip(matched, features, images)
+        ]
+    stats.regions_used += len(products)
     stats.product_s += span.duration_s
     return products, stats
 
@@ -928,10 +806,10 @@ def collection_key(
     over everything else that changes the numerics (spec list, device
     profile, detector configuration, sensor, environment, image size,
     feature-path filter, batch-policy compute dtype). Executor choice,
-    worker count, pipeline and chunk size are deliberately excluded:
-    they do not change the result. ``batch_dtype=None`` normalises to
-    ``"float64"`` — the golden batched pipeline is byte-identical to the
-    per-utterance reference, so the two share cache entries; a float32
+    worker count and chunk size are deliberately excluded: they do not
+    change the result. ``batch_dtype=None`` normalises to ``"float64"``
+    — the golden policy, byte-identical to the committed goldens, so
+    keys minted before the batch policy existed stay valid; a float32
     hot-path pass keys separately.
 
     The label ``task`` only affects which labels are attached, never the
@@ -1104,7 +982,7 @@ def _task_labelled_rows(
 ) -> List[Tuple[str, Optional[np.ndarray], Optional[np.ndarray]]]:
     """Attach the task's label to each product row.
 
-    Per-utterance/batched rows carry ``index >= 0`` into ``specs`` and
+    Per-utterance rows carry ``index >= 0`` into ``specs`` and
     an emotion-string payload; continuous rows carry ``index == -1`` and
     the matched :class:`~repro.phone.recording.PlaybackEvent` as
     payload. Either record type exposes ``speaker_id``/``emotion``, so
@@ -1166,8 +1044,6 @@ def collect_datasets(
     n_jobs: int = 1,
     executor: Optional[str] = None,
     cache: Optional[CollectionCache] = None,
-    pipeline: Optional[str] = None,
-    batch_chunk: Optional[int] = None,
     task: str = "emotion",
     defense=None,
 ) -> CollectionResult:
@@ -1176,25 +1052,15 @@ def collect_datasets(
     Parameters
     ----------
     n_jobs:
-        Worker count for the per-utterance protocol (and the rendering
-        stage of the continuous protocol). Results are identical at any
-        value.
+        Worker count over the per-utterance protocol's chunks (and the
+        rendering stage of the continuous protocol). Results are
+        identical at any value.
     executor:
         ``"serial"``, ``"thread"`` or ``"process"``; None picks serial
         for ``n_jobs <= 1`` and threads otherwise.
     cache:
         Optional :class:`CollectionCache`; a hit skips the pass entirely
         and returns the registered result object.
-    pipeline:
-        ``"batched"`` (default) stacks utterances into chunks and runs
-        every stage across the batch axis; ``"per_utterance"`` is the
-        one-at-a-time reference path. Under the golden float64 batch
-        policy the two are byte-identical; the continuous (handheld
-        session) protocol ignores this knob.
-    batch_chunk:
-        Utterances per stacked chunk for the batched pipeline
-        (default :data:`DEFAULT_BATCH_CHUNK`). Results are identical at
-        any chunk size.
     task:
         Which label to attach to each collected region — one of
         :data:`repro.datasets.base.TASKS` (``emotion``, ``speaker-id``,
@@ -1218,15 +1084,11 @@ def collect_datasets(
         continuous = channel.placement is Placement.HANDHELD
     specs = list(specs if specs is not None else corpus.specs)
     executor_name = _resolve_executor(n_jobs, executor)
-    pipeline_name = _resolve_pipeline(pipeline)
     task_name = resolve_task(task)
 
-    # Only the batched per-utterance pipeline honours the batch policy;
-    # every other path computes in float64.
-    active_dtype = (
-        batch_dtype() if (pipeline_name == "batched" and not continuous)
-        else np.dtype(np.float64)
-    )
+    # Stacked chunks honour the batch policy; the continuous session's
+    # products always compute in float64.
+    active_dtype = np.dtype(np.float64) if continuous else batch_dtype()
 
     key = base_key = None
     if cache is not None:
@@ -1283,24 +1145,10 @@ def collect_datasets(
         placement=channel.placement.value,
         executor=executor_name,
         n_jobs=max(1, int(n_jobs)),
-        pipeline="continuous" if continuous else pipeline_name,
+        continuous=bool(continuous),
     ) as pass_span:
-        if continuous:
-            products, stats = _collect_continuous(
-                config, specs, n_jobs, executor_name
-            )
-        elif pipeline_name == "batched":
-            products, stats = _collect_batched(
-                config,
-                specs,
-                n_jobs,
-                executor_name,
-                batch_chunk if batch_chunk is not None else DEFAULT_BATCH_CHUNK,
-            )
-        else:
-            products, stats = _collect_per_utterance(
-                config, specs, n_jobs, executor_name
-            )
+        collect = _collect_continuous if continuous else _collect_batched
+        products, stats = collect(config, specs, n_jobs, executor_name)
         stats.n_played = len(specs)
         stats.cache_misses = 1 if cache is not None else 0
         stats.total_s = pass_span.elapsed()

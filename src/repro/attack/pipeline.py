@@ -14,9 +14,10 @@ Two collection procedures mirror the paper's settings:
 Both produce a :class:`FeatureDataset` (Table II features) and/or a
 :class:`SpectrogramDataset` (32x32 images) ready for the classifiers.
 
-The heavy lifting lives in :mod:`repro.attack.engine`: deterministic
-per-utterance work items, serial/thread/process executors (``n_jobs``),
-a single shared render→transmit→detect pass for both dataset kinds, and
+The heavy lifting lives in :mod:`repro.attack.engine`: stacked
+utterance chunks with per-utterance RNGs (byte-identical to the
+committed goldens), serial/thread/process executors (``n_jobs``), a
+single shared render→transmit→detect pass for both dataset kinds, and
 the collection cache. This module keeps the stable user-facing API.
 """
 
@@ -60,8 +61,6 @@ def collect_feature_dataset(
     n_jobs: int = 1,
     executor: Optional[str] = None,
     cache: Optional[CollectionCache] = None,
-    pipeline: Optional[str] = None,
-    batch_chunk: Optional[int] = None,
     task: str = "emotion",
 ) -> FeatureDataset:
     """Run the attack's collection + feature-extraction stages.
@@ -86,8 +85,6 @@ def collect_feature_dataset(
         n_jobs=n_jobs,
         executor=executor,
         cache=cache,
-        pipeline=pipeline,
-        batch_chunk=batch_chunk,
         task=task,
     ).features
 
@@ -103,8 +100,6 @@ def collect_spectrogram_dataset(
     n_jobs: int = 1,
     executor: Optional[str] = None,
     cache: Optional[CollectionCache] = None,
-    pipeline: Optional[str] = None,
-    batch_chunk: Optional[int] = None,
     task: str = "emotion",
 ) -> SpectrogramDataset:
     """Run the attack's collection + spectrogram-image stages."""
@@ -119,8 +114,6 @@ def collect_spectrogram_dataset(
         n_jobs=n_jobs,
         executor=executor,
         cache=cache,
-        pipeline=pipeline,
-        batch_chunk=batch_chunk,
         task=task,
     ).spectrograms
 
@@ -142,10 +135,9 @@ class EmoLeakAttack:
     ``n_jobs``/``executor`` fan the collection out over the engine's
     worker pool; ``cache`` registers every pass in a
     :class:`~repro.attack.engine.CollectionCache` so repeated collections
-    of the same scenario are free. ``pipeline``/``batch_chunk`` select
-    between the batched data plane (the default) and the per-utterance
-    reference path — byte-identical under the golden float64 batch
-    policy.
+    of the same scenario are free. Collection runs the batched data
+    plane, byte-identical to the committed goldens under the default
+    float64 batch policy.
     """
 
     def __init__(
@@ -156,8 +148,6 @@ class EmoLeakAttack:
         n_jobs: int = 1,
         executor: Optional[str] = None,
         cache: Optional[CollectionCache] = None,
-        pipeline: Optional[str] = None,
-        batch_chunk: Optional[int] = None,
         task: str = "emotion",
     ):
         self.channel = channel
@@ -166,8 +156,6 @@ class EmoLeakAttack:
         self.n_jobs = int(n_jobs)
         self.executor = executor
         self.cache = cache
-        self.pipeline = pipeline
-        self.batch_chunk = batch_chunk
         self.task = task
 
     def collect_features(
@@ -187,8 +175,6 @@ class EmoLeakAttack:
             n_jobs=self.n_jobs,
             executor=self.executor,
             cache=self.cache,
-            pipeline=self.pipeline,
-            batch_chunk=self.batch_chunk,
             task=self.task,
         )
 
@@ -211,8 +197,6 @@ class EmoLeakAttack:
             n_jobs=self.n_jobs,
             executor=self.executor,
             cache=self.cache,
-            pipeline=self.pipeline,
-            batch_chunk=self.batch_chunk,
             task=self.task,
         )
 
@@ -235,7 +219,5 @@ class EmoLeakAttack:
             n_jobs=self.n_jobs,
             executor=self.executor,
             cache=self.cache,
-            pipeline=self.pipeline,
-            batch_chunk=self.batch_chunk,
             task=self.task,
         )

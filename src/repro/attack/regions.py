@@ -147,7 +147,8 @@ class RegionDetector:
         trace = np.asarray(trace, dtype=float)
         if trace.ndim != 1:
             raise ValueError(f"expected a 1-D trace, got shape {trace.shape}")
-        x = trace - np.median(trace)  # remove gravity/DC
+        # Remove gravity/DC; an empty trace has no median (and no regions).
+        x = trace - np.median(trace) if trace.size else trace
         if self.highpass_hz is not None and trace.size > 32:
             x = highpass(x, self.highpass_hz, fs, order=4)
         window = max(3, int(round(self.envelope_window_s * fs)))
@@ -247,7 +248,7 @@ class RegionDetector:
         window = max(3, int(round(self.envelope_window_s * fs)))
         filtered: List[np.ndarray] = []
         for trace in rows:
-            x = trace - np.median(trace)
+            x = trace - np.median(trace) if trace.size else trace
             if self.highpass_hz is not None and trace.size > 32:
                 sos = cached_butter_highpass(self.highpass_hz, fs, order=4)
                 x = sosfilt_zero_phase(sos, x)

@@ -57,7 +57,7 @@ def collect_speaker_dataset(
     emotions: List[str] = []
     speaker_ids: List[str] = []
     specs = list(specs if specs is not None else corpus.specs)
-    # The engine's per-utterance work items carry spec provenance, so
+    # The engine's per-utterance products carry spec provenance, so
     # every feature row maps back to its speaker.
     products, _ = collect_per_utterance_products(
         corpus,

@@ -4,8 +4,8 @@ Mirrors :mod:`repro.nn.policy`: one knob, ``compute_dtype``, read by the
 batched collection pipeline at run time.
 
 - ``float64`` (the default) is the *golden* configuration: every batched
-  stage is byte-identical to the per-utterance reference pipeline, so
-  the committed golden fixtures pin both paths at once.
+  stage is byte-identical to the committed goldens (and to its scalar
+  stage, which the parity suites check row by row).
 - ``float32`` is the hot path: the product stage (Table II feature
   extraction and spectrogram images) runs in single precision and the
   collected arrays are stored as ``float32``. Outputs are only
@@ -68,7 +68,7 @@ class BatchPolicy:
         return self.compute_dtype == np.dtype(np.float64)
 
 
-#: Default: double precision — byte-identical to the per-utterance path.
+#: Default: double precision — byte-identical to the committed goldens.
 DEFAULT_BATCH_POLICY = BatchPolicy()
 
 _current = DEFAULT_BATCH_POLICY

@@ -119,14 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
              "serial for --n-jobs 1, thread otherwise)",
     )
     parser.add_argument(
-        "--pipeline",
-        choices=("batched", "per-utterance"),
-        default=None,
-        help="collection data plane: batched (stacked utterance chunks, "
-             "default) or per-utterance (the reference path); results "
-             "are byte-identical under the default float64 batch policy",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -244,7 +236,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         n_jobs=args.n_jobs,
         executor=args.executor,
         cache=cache,
-        pipeline=args.pipeline,
         task=task,
     )
 

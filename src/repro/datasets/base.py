@@ -138,7 +138,7 @@ class Corpus:
 
         A subclass that overrides :meth:`render` without overriding this
         method renders per spec through its override, keeping the
-        batched pipeline's output identical to the per-utterance path.
+        batched data plane's output identical to per-spec rendering.
         """
         if type(self).render is not Corpus.render:
             return [self.render(spec) for spec in specs]

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "glottal_source",
-    "glottal_source_banked",
     "glottal_source_deferred",
     "glottal_finish_batch",
     "rosenberg_pulse",
@@ -182,13 +181,25 @@ def glottal_source_deferred(
     tilt_db_per_octave: float = -12.0,
     breathiness: float = 0.08,
 ) -> _DeferredGlottal:
-    """RNG phase of :func:`glottal_source_banked`.
+    """RNG phase of the banked glottal source used by the batched data plane.
 
-    Consumes the generator exactly as the reference does (cycle draws,
-    stream advance, aspiration draw) and places the pulse train, but
-    leaves the RNG-free tail — spectral tilt and the breathiness mix —
+    Byte-identical output *and* byte-identical RNG-stream consumption
+    against :func:`glottal_source`:
+
+    - per-cycle pulses come from the process-wide memoized pulse bank
+      instead of being rebuilt (``rosenberg_pulse`` is a pure function
+      of length, and pulses never overlap, so slice-adds are exact);
+    - the per-cycle ``rng.normal(0.0, s)`` draws are served from one
+      block ``standard_normal`` draw (``loc + scale * z`` is how
+      ``Generator.normal`` is defined), then the generator state is
+      rewound and advanced by exactly the number of scalars the
+      reference loop would have consumed — so every draw *after* this
+      call sees the same stream.
+
+    The RNG-free tail — spectral tilt and the breathiness mix — is left
     to :func:`glottal_finish_batch`, which runs it stacked over many
-    syllables at once.
+    syllables at once; ``glottal_finish_batch([work])[0]`` finishes a
+    single syllable.
     """
     f0_contour = np.asarray(f0_contour, dtype=float)
     if f0_contour.ndim != 1:
@@ -329,44 +340,3 @@ def glottal_finish_batch(works: Sequence[_DeferredGlottal]) -> List[np.ndarray]:
         mix = float(np.clip(w.breathiness, 0.0, 1.0))
         results[i] = (1.0 - mix) * out + mix * noise * (rms_voice / rms_noise)
     return results
-
-
-def glottal_source_banked(
-    f0_contour: np.ndarray,
-    fs: float,
-    rng: np.random.Generator,
-    jitter: float = 0.01,
-    shimmer: float = 0.04,
-    tilt_db_per_octave: float = -12.0,
-    breathiness: float = 0.08,
-) -> np.ndarray:
-    """Fast :func:`glottal_source` used by the batched data plane.
-
-    Byte-identical output *and* byte-identical RNG-stream consumption:
-
-    - per-cycle pulses come from the process-wide memoized pulse bank
-      instead of being rebuilt (``rosenberg_pulse`` is a pure function
-      of length, and pulses never overlap, so slice-adds are exact);
-    - the per-cycle ``rng.normal(0.0, s)`` draws are served from one
-      block ``standard_normal`` draw (``loc + scale * z`` is how
-      ``Generator.normal`` is defined), then the generator state is
-      rewound and advanced by exactly the number of scalars the
-      reference loop would have consumed — so every draw *after* this
-      call sees the same stream.
-
-    Composes :func:`glottal_source_deferred` (the RNG phase) with
-    :func:`glottal_finish_batch` (the RNG-free tail); batched callers
-    use the two phases directly to stack the tail across syllables.
-    ``glottal_source`` itself is kept untouched as the golden reference
-    this implementation is parity-tested against.
-    """
-    work = glottal_source_deferred(
-        f0_contour,
-        fs,
-        rng,
-        jitter=jitter,
-        shimmer=shimmer,
-        tilt_db_per_octave=tilt_db_per_octave,
-        breathiness=breathiness,
-    )
-    return glottal_finish_batch([work])[0]

@@ -21,7 +21,7 @@ Synthesizer` contract — ``render`` per clip and ``render_batch`` over
 many clips with per-clip generators — so the song corpus drops into the
 collection engine's data plane (``Corpus.render_batch`` falls back to
 per-spec rendering for corpora that override ``render``, keeping the
-batched pipeline byte-identical to the per-utterance reference).
+batched data plane byte-identical to per-clip rendering).
 """
 
 from __future__ import annotations

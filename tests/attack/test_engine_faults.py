@@ -4,8 +4,13 @@ PR 1's inline ``perf_counter()`` arithmetic lost every stage timing of a
 pass that died mid-stage: the per-item stats object went down with the
 exception and ``_publish`` never ran. Spans record on their exception
 path directly into the metrics registry, so a failing pass still
-accounts for the time it burned — these tests patch the detector (and
-the corpus renderer) to raise and assert the books still balance.
+accounts for the time it burned — these tests patch the detector to
+raise and assert the books still balance.
+
+The failing passes run the continuous (handheld session) protocol: it
+has no row isolation, so a detector error propagates out of
+``collect_datasets``. Table-top chunks isolate failing rows instead
+(see ``tests/batch/test_faults.py``).
 """
 
 import numpy as np
@@ -30,18 +35,18 @@ class ExplodingDetector:
         return RegionDetector.for_setting("table_top").detect(signal, fs)
 
 
+def _collect_session(corpus, channel, n_specs, detector):
+    """One continuous-session pass over the first ``n_specs`` utterances."""
+    return collect_datasets(
+        corpus, channel, specs=corpus.specs[:n_specs], detector=detector, seed=1
+    )
+
+
 class TestExceptionAccounting:
-    def test_stage_time_recorded_when_detector_raises(self, tiny_tess, loud_channel):
+    def test_stage_time_recorded_when_detector_raises(self, tiny_tess, ear_channel):
         reset_observability()
         with pytest.raises(RuntimeError, match="sensor fell off"):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:3],
-                detector=ExplodingDetector(fail_at=0),
-                seed=1,
-                pipeline="per_utterance",
-            )
+            _collect_session(tiny_tess, ear_channel, 3, ExplodingDetector(fail_at=0))
         reg = metrics()
         # The render and transmit that *completed* before the failure are
         # accounted, even though the pass never published its stats.
@@ -54,17 +59,10 @@ class TestExceptionAccounting:
         assert stats.render_s > 0
         assert stats.detect_s >= 0
 
-    def test_spans_carry_error_status(self, tiny_tess, loud_channel):
+    def test_spans_carry_error_status(self, tiny_tess, ear_channel):
         reset_observability()
         with pytest.raises(RuntimeError):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:3],
-                detector=ExplodingDetector(fail_at=0),
-                seed=1,
-                pipeline="per_utterance",
-            )
+            _collect_session(tiny_tess, ear_channel, 3, ExplodingDetector(fail_at=0))
         (detect,) = tracer().find("detect")
         assert detect.status == "error"
         assert "RuntimeError" in detect.error
@@ -75,60 +73,40 @@ class TestExceptionAccounting:
         assert render.status == "ok"
 
     def test_partial_pass_accounts_every_completed_item(
-        self, tiny_tess, loud_channel
+        self, tiny_tess, ear_channel
     ):
-        """Failing on item 3 keeps items 1-2 fully accounted."""
+        """Failing on pass 3 keeps passes 1-2 fully accounted."""
         reset_observability()
+        detector = ExplodingDetector(fail_at=2)
+        for _ in range(2):
+            _collect_session(tiny_tess, ear_channel, 2, detector)
         with pytest.raises(RuntimeError):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:5],
-                detector=ExplodingDetector(fail_at=2),
-                seed=1,
-                pipeline="per_utterance",
-            )
+            _collect_session(tiny_tess, ear_channel, 2, detector)
         reg = metrics()
         assert reg.timer_total("render").count == 3
         assert reg.timer_total("detect").count == 3
         assert reg.timer("detect", status="ok").count == 2
         assert reg.timer("detect", status="error").count == 1
 
-    def test_counters_unpublished_on_failure(self, tiny_tess, loud_channel):
+    def test_counters_unpublished_on_failure(self, tiny_tess, ear_channel):
         """_publish never runs for a failed pass: counters stay zero while
         timers (spans) are still accounted — the exact asymmetry the
         global view is documented to have."""
         reset_observability()
         with pytest.raises(RuntimeError):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:3],
-                detector=ExplodingDetector(fail_at=0),
-                seed=1,
-                pipeline="per_utterance",
-            )
+            _collect_session(tiny_tess, ear_channel, 3, ExplodingDetector(fail_at=0))
         stats = global_stats()
         assert stats.transmits == 0  # counter path needs a finished pass
         assert stats.transmit_s > 0  # timer path survived the exception
 
-    def test_healthy_run_unaffected_by_prior_failure(self, tiny_tess, loud_channel):
+    def test_healthy_run_unaffected_by_prior_failure(
+        self, tiny_tess, ear_channel, loud_channel
+    ):
         reset_observability()
         with pytest.raises(RuntimeError):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:3],
-                detector=ExplodingDetector(fail_at=0),
-                seed=1,
-                pipeline="per_utterance",
-            )
+            _collect_session(tiny_tess, ear_channel, 3, ExplodingDetector(fail_at=0))
         result = collect_datasets(
-            tiny_tess,
-            loud_channel,
-            specs=tiny_tess.specs[:5],
-            seed=1,
-            pipeline="per_utterance",
+            tiny_tess, loud_channel, specs=tiny_tess.specs[:5], seed=1
         )
         assert result.features.X.shape[1] == 24
         assert np.all(np.isfinite(result.features.X))

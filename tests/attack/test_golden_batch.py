@@ -5,9 +5,7 @@ a *multi-utterance batched* variant: the committed fixture pins the full
 feature matrix and image stack collected through the batched pipeline
 for the fixed ``(seed 0, oneplus7t, tiny TESS)`` triple. The batched
 pipeline under the golden float64 policy must reproduce the fixture
-byte-for-byte across executors and chunk sizes — and must equal the
-per-utterance reference exactly, so this fixture pins both paths at
-once.
+byte-for-byte across executors and chunk sizes.
 
 Regenerate the fixture (after an *intentional* numerics change) with::
 
@@ -19,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.attack import engine
 from repro.attack.engine import collect_datasets
 from repro.attack.features import FEATURE_NAMES
 from repro.datasets import build_tess
@@ -36,15 +35,12 @@ def _channel() -> VibrationChannel:
     return VibrationChannel(DEVICE, mode="loudspeaker", placement="table_top")
 
 
-def _collect(pipeline: str, executor: str = "serial", n_jobs: int = 1,
-             batch_chunk=None):
+def _collect(executor: str = "serial", n_jobs: int = 1):
     corpus = build_tess(**CORPUS_ARGS)
     return collect_datasets(
         corpus,
         _channel(),
         seed=SEED,
-        pipeline=pipeline,
-        batch_chunk=batch_chunk,
         executor=executor,
         n_jobs=n_jobs,
     )
@@ -52,7 +48,7 @@ def _collect(pipeline: str, executor: str = "serial", n_jobs: int = 1,
 
 @pytest.fixture(scope="module")
 def batched_result():
-    return _collect("batched")
+    return _collect()
 
 
 class TestGoldenBatchFixture:
@@ -73,18 +69,14 @@ class TestGoldenBatchFixture:
             )
             assert tuple(bundle["feature_names"]) == FEATURE_NAMES
 
-    def test_per_utterance_reference_matches_fixture(self):
-        """The fixture pins the reference path too (golden = identical)."""
-        ref = _collect("per_utterance")
-        with np.load(FIXTURE, allow_pickle=False) as bundle:
-            assert ref.features.X.tobytes() == bundle["X"].tobytes()
-            assert ref.spectrograms.images.tobytes() == bundle["images"].tobytes()
-
 
 class TestBatchedStability:
     @pytest.mark.parametrize("executor,n_jobs", [("thread", 2), ("process", 2)])
-    def test_byte_stable_across_executors(self, batched_result, executor, n_jobs):
-        other = _collect("batched", executor=executor, n_jobs=n_jobs, batch_chunk=4)
+    def test_byte_stable_across_executors(
+        self, batched_result, executor, n_jobs, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", 4)
+        other = _collect(executor=executor, n_jobs=n_jobs)
         assert (
             other.features.X.tobytes() == batched_result.features.X.tobytes()
         )
@@ -94,8 +86,9 @@ class TestBatchedStability:
         )
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
-    def test_byte_stable_across_chunk_sizes(self, batched_result, chunk):
-        other = _collect("batched", batch_chunk=chunk)
+    def test_byte_stable_across_chunk_sizes(self, batched_result, chunk, monkeypatch):
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", chunk)
+        other = _collect()
         assert (
             other.features.X.tobytes() == batched_result.features.X.tobytes()
         )
@@ -106,7 +99,7 @@ class TestBatchedStability:
 
 
 def _regenerate() -> None:
-    result = _collect("batched")
+    result = _collect()
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(
         FIXTURE,

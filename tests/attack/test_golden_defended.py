@@ -5,9 +5,9 @@ defense path: the committed fixture pins the feature matrix and image
 stack collected through the composed ``50 Hz cap + 20 Hz low-pass``
 stack for the fixed ``(seed 0, oneplus7t, tiny TESS)`` triple. The
 defended pipeline must reproduce the fixture byte-for-byte across
-executors and across the batched / per-utterance data planes — the same
-contract the undefended golden suite enforces, now with the defense's
-channel transform and stream postprocess in the loop.
+executors and chunk sizes — the same contract the undefended golden
+suite enforces, now with the defense's channel transform and stream
+postprocess in the loop.
 
 Regenerate the fixture (after an *intentional* numerics change) with::
 
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.attack import engine
 from repro.attack.engine import collect_datasets
 from repro.attack.features import FEATURE_NAMES
 from repro.attack.privacy_gate import DefenseConfig
@@ -42,15 +43,12 @@ def _channel() -> VibrationChannel:
     return VibrationChannel(DEVICE, mode="loudspeaker", placement="table_top")
 
 
-def _collect(pipeline: str, executor: str = "serial", n_jobs: int = 1,
-             batch_chunk=None):
+def _collect(executor: str = "serial", n_jobs: int = 1):
     corpus = build_tess(**CORPUS_ARGS)
     return collect_datasets(
         corpus,
         _channel(),
         seed=SEED,
-        pipeline=pipeline,
-        batch_chunk=batch_chunk,
         executor=executor,
         n_jobs=n_jobs,
         defense=DEFENSE_CONFIG.build(),
@@ -59,7 +57,7 @@ def _collect(pipeline: str, executor: str = "serial", n_jobs: int = 1,
 
 @pytest.fixture(scope="module")
 def defended_result():
-    return _collect("batched")
+    return _collect()
 
 
 class TestGoldenDefendedFixture:
@@ -92,17 +90,14 @@ class TestGoldenDefendedFixture:
                 defended_result.features.X.tobytes() != bundle["X"].tobytes()
             )
 
-    def test_per_utterance_reference_matches_fixture(self):
-        ref = _collect("per_utterance")
-        with np.load(FIXTURE, allow_pickle=False) as bundle:
-            assert ref.features.X.tobytes() == bundle["X"].tobytes()
-            assert ref.spectrograms.images.tobytes() == bundle["images"].tobytes()
-
 
 class TestDefendedStability:
     @pytest.mark.parametrize("executor,n_jobs", [("thread", 2), ("process", 2)])
-    def test_byte_stable_across_executors(self, defended_result, executor, n_jobs):
-        other = _collect("batched", executor=executor, n_jobs=n_jobs, batch_chunk=4)
+    def test_byte_stable_across_executors(
+        self, defended_result, executor, n_jobs, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", 4)
+        other = _collect(executor=executor, n_jobs=n_jobs)
         assert other.features.X.tobytes() == defended_result.features.X.tobytes()
         assert (
             other.spectrograms.images.tobytes()
@@ -110,8 +105,9 @@ class TestDefendedStability:
         )
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
-    def test_byte_stable_across_chunk_sizes(self, defended_result, chunk):
-        other = _collect("batched", batch_chunk=chunk)
+    def test_byte_stable_across_chunk_sizes(self, defended_result, chunk, monkeypatch):
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", chunk)
+        other = _collect()
         assert other.features.X.tobytes() == defended_result.features.X.tobytes()
         assert (
             other.spectrograms.images.tobytes()
@@ -120,7 +116,7 @@ class TestDefendedStability:
 
 
 def _regenerate() -> None:
-    result = _collect("batched")
+    result = _collect()
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(
         FIXTURE,

@@ -3,9 +3,8 @@
 A float32 hot-path pass and a float64 golden pass produce different
 arrays; if they shared a cache key, whichever ran first would poison the
 other. ``collection_key`` folds the active compute dtype into the
-digest, with ``None`` normalising to ``"float64"`` so the golden batched
-pipeline still shares entries with the per-utterance reference (they are
-byte-identical).
+digest, with ``None`` normalising to ``"float64"`` so golden keys
+minted without an explicit dtype stay valid.
 """
 
 import numpy as np
@@ -54,8 +53,7 @@ class TestCrossPolicyCache:
         cache = CollectionCache()
 
         golden = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4,
-            pipeline="batched", cache=cache,
+            tiny_tess, loud_channel, specs=specs, seed=4, cache=cache
         )
         assert cache.misses == 1 and cache.hits == 0
         assert golden.features.X.dtype == np.float64
@@ -63,8 +61,7 @@ class TestCrossPolicyCache:
         # Warm float64 cache must NOT serve the float32 policy.
         with batch_policy_scope(compute_dtype="float32"):
             hot = collect_datasets(
-                tiny_tess, loud_channel, specs=specs, seed=4,
-                pipeline="batched", cache=cache,
+                tiny_tess, loud_channel, specs=specs, seed=4, cache=cache
             )
         assert cache.misses == 2 and cache.hits == 0
         assert hot.features.X.dtype == np.float32
@@ -72,28 +69,22 @@ class TestCrossPolicyCache:
 
         # Each policy now hits its own entry.
         again = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4,
-            pipeline="batched", cache=cache,
+            tiny_tess, loud_channel, specs=specs, seed=4, cache=cache
         )
         assert cache.hits == 1
         assert again.features.X.tobytes() == golden.features.X.tobytes()
         with batch_policy_scope(compute_dtype="float32"):
             hot_again = collect_datasets(
-                tiny_tess, loud_channel, specs=specs, seed=4,
-                pipeline="batched", cache=cache,
+                tiny_tess, loud_channel, specs=specs, seed=4, cache=cache
             )
         assert cache.hits == 2
         assert hot_again.features.X.tobytes() == hot.features.X.tobytes()
 
     def test_hot_path_is_tolerance_close(self, tiny_tess, loud_channel):
         specs = tiny_tess.specs[:6]
-        golden = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4, pipeline="batched"
-        )
+        golden = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=4)
         with batch_policy_scope(compute_dtype="float32"):
-            hot = collect_datasets(
-                tiny_tess, loud_channel, specs=specs, seed=4, pipeline="batched"
-            )
+            hot = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=4)
         # Same rows (region boundaries always run float64)...
         assert list(hot.features.y) == list(golden.features.y)
         assert hot.features.X.shape == golden.features.X.shape
@@ -107,16 +98,3 @@ class TestCrossPolicyCache:
             golden.spectrograms.images.astype(np.float32),
             rtol=5e-3, atol=5e-3,
         )
-
-    def test_per_utterance_pipeline_ignores_policy(self, tiny_tess, loud_channel):
-        specs = tiny_tess.specs[:4]
-        ref = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4,
-            pipeline="per_utterance",
-        )
-        with batch_policy_scope(compute_dtype="float32"):
-            got = collect_datasets(
-                tiny_tess, loud_channel, specs=specs, seed=4,
-                pipeline="per_utterance",
-            )
-        assert got.features.X.tobytes() == ref.features.X.tobytes()

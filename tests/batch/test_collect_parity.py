@@ -1,21 +1,20 @@
-"""End-to-end parity: the batched pipeline vs the per-utterance reference.
+"""End-to-end parity: the stacked chunks vs a serial scalar reference.
 
 Under the golden float64 batch policy, ``collect_datasets`` must return
-byte-identical datasets from either pipeline, at any chunk size and
-under any executor. This is the tentpole contract: the batched data
-plane is a pure reorganisation of the work, not a numerical variant.
+datasets byte-identical to one-utterance-at-a-time collection through
+the public scalar stages (:mod:`tests.batch.reference`), at any chunk
+size and under any executor. This is the data plane's contract: the
+batching is a pure reorganisation of the work, not a numerical variant.
 """
 
 import numpy as np
 import pytest
 
-from repro.attack.engine import (
-    DEFAULT_BATCH_CHUNK,
-    DEFAULT_PIPELINE,
-    PIPELINES,
-    collect_datasets,
-)
+from repro.attack import engine
+from repro.attack.engine import collect_datasets
 from repro.attack.pipeline import EmoLeakAttack
+from repro.batch import batch_policy_scope
+from tests.batch.reference import reference_collect
 
 
 def _bytes(result):
@@ -32,65 +31,33 @@ def reference(request):
     tiny_tess = request.getfixturevalue("tiny_tess")
     loud_channel = request.getfixturevalue("loud_channel")
     specs = tiny_tess.specs[:12]
-    result = collect_datasets(
-        tiny_tess, loud_channel, specs=specs, seed=4, pipeline="per_utterance"
-    )
-    return specs, result
-
-
-class TestPipelineDispatch:
-    def test_defaults(self):
-        assert DEFAULT_PIPELINE == "batched"
-        assert set(PIPELINES) == {"batched", "per_utterance"}
-        assert DEFAULT_BATCH_CHUNK >= 1
-
-    def test_unknown_pipeline_rejected(self, tiny_tess, loud_channel):
-        with pytest.raises(ValueError, match="pipeline"):
-            collect_datasets(
-                tiny_tess,
-                loud_channel,
-                specs=tiny_tess.specs[:2],
-                pipeline="vectorised",
-            )
-
-    def test_dash_alias(self, tiny_tess, loud_channel, reference):
-        specs, ref = reference
-        got = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4, pipeline="per-utterance"
-        )
-        assert _bytes(got) == _bytes(ref)
+    return specs, reference_collect(tiny_tess, loud_channel, specs=specs, seed=4)
 
 
 class TestBatchedParity:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_byte_identical_at_any_chunk_size(
-        self, tiny_tess, loud_channel, reference, chunk
+        self, tiny_tess, loud_channel, reference, chunk, monkeypatch
     ):
         specs, ref = reference
-        got = collect_datasets(
-            tiny_tess,
-            loud_channel,
-            specs=specs,
-            seed=4,
-            pipeline="batched",
-            batch_chunk=chunk,
-        )
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", chunk)
+        got = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=4)
         assert _bytes(got) == _bytes(ref)
 
     @pytest.mark.parametrize(
         "executor,n_jobs", [("serial", 1), ("thread", 3), ("process", 2)]
     )
     def test_byte_identical_under_any_executor(
-        self, tiny_tess, loud_channel, reference, executor, n_jobs
+        self, tiny_tess, loud_channel, reference, executor, n_jobs, monkeypatch
     ):
         specs, ref = reference
+        # Several chunks so the pool actually fans out.
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", 4)
         got = collect_datasets(
             tiny_tess,
             loud_channel,
             specs=specs,
             seed=4,
-            pipeline="batched",
-            batch_chunk=4,  # several chunks so the pool actually fans out
             executor=executor,
             n_jobs=n_jobs,
         )
@@ -103,51 +70,48 @@ class TestBatchedParity:
         got = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=4)
         assert _bytes(got) == _bytes(ref)
 
-    def test_counters_match_reference(self, tiny_tess, loud_channel, reference):
+    def test_counters_match_reference(
+        self, tiny_tess, loud_channel, reference, monkeypatch
+    ):
         specs, ref = reference
-        got = collect_datasets(
-            tiny_tess,
-            loud_channel,
-            specs=specs,
-            seed=4,
-            pipeline="batched",
-            batch_chunk=5,
-        )
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", 5)
+        got = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=4)
         for field in ("renders", "transmits", "regions_detected", "regions_used",
                       "n_played"):
             assert getattr(got.stats, field) == getattr(ref.stats, field)
 
-    def test_handheld_per_utterance_protocol(self, tiny_tess, ear_channel):
+    def test_handheld_per_utterance_protocol(
+        self, tiny_tess, ear_channel, monkeypatch
+    ):
         # Handheld + continuous=False exercises the per-item channel
         # clones inside the batched transmit stage.
         specs = tiny_tess.specs[:6]
-        ref = collect_datasets(
-            tiny_tess, ear_channel, specs=specs, seed=2,
-            continuous=False, pipeline="per_utterance",
-        )
+        ref = reference_collect(tiny_tess, ear_channel, specs=specs, seed=2)
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", 2)
         got = collect_datasets(
-            tiny_tess, ear_channel, specs=specs, seed=2,
-            continuous=False, pipeline="batched", batch_chunk=2,
+            tiny_tess, ear_channel, specs=specs, seed=2, continuous=False
         )
         assert _bytes(got) == _bytes(ref)
 
-    def test_continuous_ignores_pipeline(self, tiny_tess, ear_channel):
+    def test_continuous_ignores_pipeline(self, tiny_tess, ear_channel, monkeypatch):
+        """The continuous session ignores the chunk size and the batch policy."""
         specs = tiny_tess.specs[:4]
-        ref = collect_datasets(
-            tiny_tess, ear_channel, specs=specs, seed=2, pipeline="per_utterance"
-        )
-        got = collect_datasets(
-            tiny_tess, ear_channel, specs=specs, seed=2, pipeline="batched"
-        )
+        ref = collect_datasets(tiny_tess, ear_channel, specs=specs, seed=2)
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", 1)
+        with batch_policy_scope(compute_dtype="float32"):
+            got = collect_datasets(tiny_tess, ear_channel, specs=specs, seed=2)
+        assert got.features.X.dtype == np.float64
         assert _bytes(got) == _bytes(ref)
 
 
 class TestAttackObjectPassThrough:
-    def test_pipeline_knob_reaches_engine(self, tiny_tess, loud_channel, reference):
+    def test_pipeline_knob_reaches_engine(
+        self, tiny_tess, loud_channel, reference, monkeypatch
+    ):
+        """The attack object collects through the same chunked engine."""
         specs, ref = reference
-        attack = EmoLeakAttack(
-            loud_channel, seed=4, pipeline="batched", batch_chunk=3
-        )
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", 3)
+        attack = EmoLeakAttack(loud_channel, seed=4)
         features = attack.collect_features(tiny_tess, specs=specs)
         assert features.X.tobytes() == ref.features.X.tobytes()
         both = attack.collect_datasets(tiny_tess, specs=specs)

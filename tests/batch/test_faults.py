@@ -2,21 +2,22 @@
 
 A poisoned utterance (NaN audio) must not take down its batchmates: the
 stacked fast path fails for the whole chunk, the chunk degrades to
-per-row processing, the poisoned row alone is dropped, and every healthy
-row keeps its byte-identical product. The books must still balance —
+chunks of one row, the poisoned row alone is dropped, and every healthy
+row keeps its byte-identical product under either batch policy. The books must still balance —
 fallbacks and isolated rows are counted, spans carry their statuses, and
 a cache in front of the pass stays coherent.
 """
 
 import numpy as np
-import pytest
 
+from repro.attack import engine
 from repro.attack.engine import (
     CollectionCache,
     collect_datasets,
     reset_global_stats,
 )
 from repro.attack.regions import RegionDetector
+from repro.batch import batch_policy_scope
 from repro.obs import metrics, reset_observability, tracer
 
 
@@ -52,17 +53,12 @@ class TestRowIsolation:
         self, tiny_tess, loud_channel
     ):
         specs = tiny_tess.specs[:8]
-        clean = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4, pipeline="batched"
-        )
+        clean = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=4)
         poisoned_id = specs[3].utterance_id
         bad_corpus = PoisonedCorpus(tiny_tess, [poisoned_id])
 
         reset_observability()
-        dirty = collect_datasets(
-            bad_corpus, loud_channel, specs=specs, seed=4,
-            pipeline="batched", batch_chunk=8,
-        )
+        dirty = collect_datasets(bad_corpus, loud_channel, specs=specs, seed=4)
 
         # Exactly the poisoned row is missing; all survivors are
         # byte-identical to the clean pass.
@@ -81,14 +77,32 @@ class TestRowIsolation:
         assert reg.counter_total("batch.chunk_fallbacks") == 1
         assert reg.counter_total("batch.rows_isolated") == 1
 
-    def test_only_poisoned_chunk_degrades(self, tiny_tess, loud_channel):
+    def test_float32_survivors_match_clean_pass(self, tiny_tess, loud_channel):
+        """Isolated rows keep the batch policy: float32 in, float32 out."""
+        specs = tiny_tess.specs[:8]
+        poisoned_id = specs[3].utterance_id
+        keep = [i for i, s in enumerate(specs) if s.utterance_id != poisoned_id]
+        with batch_policy_scope(compute_dtype="float32"):
+            clean = collect_datasets(tiny_tess, loud_channel, specs=specs, seed=4)
+            dirty = collect_datasets(
+                PoisonedCorpus(tiny_tess, [poisoned_id]),
+                loud_channel, specs=specs, seed=4,
+            )
+        assert clean.features.X.shape[0] == len(specs)
+        assert dirty.features.X.dtype == np.float32
+        assert dirty.spectrograms.images.dtype == np.float32
+        assert dirty.features.X.tobytes() == clean.features.X[keep].tobytes()
+        assert dirty.spectrograms.images.tobytes() == (
+            clean.spectrograms.images[keep].tobytes()
+        )
+
+    def test_only_poisoned_chunk_degrades(self, tiny_tess, loud_channel, monkeypatch):
         specs = tiny_tess.specs[:8]
         bad_corpus = PoisonedCorpus(tiny_tess, [specs[5].utterance_id])
         reset_observability()
-        collect_datasets(
-            bad_corpus, loud_channel, specs=specs, seed=4,
-            pipeline="batched", batch_chunk=4,  # rows 0-3 clean, 4-7 poisoned
-        )
+        # Rows 0-3 clean, 4-7 poisoned.
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", 4)
+        collect_datasets(bad_corpus, loud_channel, specs=specs, seed=4)
         reg = metrics()
         assert reg.counter_total("batch.chunk_fallbacks") == 1
         assert reg.counter_total("batch.rows_isolated") == 1
@@ -97,10 +111,7 @@ class TestRowIsolation:
         specs = tiny_tess.specs[:6]
         bad_corpus = PoisonedCorpus(tiny_tess, [specs[0].utterance_id])
         reset_observability()
-        result = collect_datasets(
-            bad_corpus, loud_channel, specs=specs, seed=4,
-            pipeline="batched", batch_chunk=6,
-        )
+        result = collect_datasets(bad_corpus, loud_channel, specs=specs, seed=4)
         assert result.features.X.shape[0] == len(specs) - 1
         # The pass completed: the collect span closed "ok", and every
         # recorded span carries a terminal status.
@@ -116,10 +127,7 @@ class TestRowIsolation:
         specs = tiny_tess.specs[:6]
         bad_corpus = PoisonedCorpus(tiny_tess, [specs[2].utterance_id])
         reset_global_stats()
-        result = collect_datasets(
-            bad_corpus, loud_channel, specs=specs, seed=4,
-            pipeline="batched", batch_chunk=6,
-        )
+        result = collect_datasets(bad_corpus, loud_channel, specs=specs, seed=4)
         # The isolated row never completed transmit/detect, so per-row
         # counters reflect the survivors only; n_played still counts the
         # whole pass.
@@ -127,18 +135,19 @@ class TestRowIsolation:
         assert result.stats.renders == len(specs) - 1
         assert result.stats.n_played == len(specs)
 
-    def test_cache_stays_coherent_after_fallback(self, tiny_tess, loud_channel):
+    def test_cache_stays_coherent_after_fallback(
+        self, tiny_tess, loud_channel, monkeypatch
+    ):
         specs = tiny_tess.specs[:6]
         bad_corpus = PoisonedCorpus(tiny_tess, [specs[1].utterance_id])
         cache = CollectionCache()
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_CHUNK", 3)
         first = collect_datasets(
-            bad_corpus, loud_channel, specs=specs, seed=4,
-            pipeline="batched", batch_chunk=3, cache=cache,
+            bad_corpus, loud_channel, specs=specs, seed=4, cache=cache
         )
         assert cache.misses == 1
         again = collect_datasets(
-            bad_corpus, loud_channel, specs=specs, seed=4,
-            pipeline="batched", batch_chunk=3, cache=cache,
+            bad_corpus, loud_channel, specs=specs, seed=4, cache=cache
         )
         assert cache.hits == 1
         assert again.features.X.tobytes() == first.features.X.tobytes()
@@ -151,8 +160,7 @@ class TestNoRegions:
         detector = RegionDetector(threshold_factor=1e9, min_peak_ratio=1e9)
         specs = tiny_tess.specs[:5]
         result = collect_datasets(
-            tiny_tess, loud_channel, specs=specs, seed=4,
-            detector=detector, pipeline="batched",
+            tiny_tess, loud_channel, specs=specs, seed=4, detector=detector
         )
         assert result.features.X.shape == (0, 24)
         assert result.spectrograms.images.shape[0] == 0

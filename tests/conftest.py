@@ -6,12 +6,28 @@ so the cost is paid once.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.attack.pipeline import EmoLeakAttack
 from repro.datasets import build_tess
 from repro.phone import VibrationChannel
+
+
+_TESTS_DIR = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """Numerical RuntimeWarnings fail every test under ``tests/``.
+
+    Scoped to this directory so benchmark runs keep numpy's default
+    warning behaviour.
+    """
+    for item in items:
+        if _TESTS_DIR in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 @pytest.fixture(scope="session")
