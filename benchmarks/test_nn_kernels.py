@@ -1,8 +1,9 @@
 """NN compute-kernel microbenchmarks: GEMM vs reference conv kernels.
 
 Times the conv kernels three ways — the seed's kernel-offset loop in
-float64 (``reference/f64``), the im2col GEMM rewrite in float64
-(``gemm/f64``), and GEMM under the float32 precision policy
+float64 (``reference/f64``, the test-side layers of
+``tests/nn/reference.py``), the production im2col GEMM lowering in
+float64 (``gemm/f64``), and GEMM under the float32 precision policy
 (``gemm/f32``) — first as isolated layer forward/backward
 microbenchmarks, then as full one-epoch ``fit`` runs of the paper's
 feature CNN and spectrogram CNN.
@@ -28,8 +29,10 @@ from repro.nn.optim import Adam
 from repro.nn.policy import policy_scope
 
 from benchmarks._common import print_header
+from tests.nn.reference import reference_layer, use_reference_convs
 
-#: (label, conv_kernel, compute_dtype). ``reference/f64`` is the seed path.
+#: (label, conv_kernel, compute_dtype). ``reference/f64`` is the seed path:
+#: the "reference" conv kernel swaps in the test-side reference layers.
 CONFIGS = [
     ("reference/f64", "reference", "float64"),
     ("gemm/f64", "gemm", "float64"),
@@ -89,8 +92,10 @@ def _write_bench_artifact():
 
 def _conv_layer_seconds(make_layer, input_shape, x64, kernel, dtype):
     """Forward+backward wall time for one conv layer under a config."""
-    with policy_scope(compute_dtype=dtype, conv_kernel=kernel):
+    with policy_scope(compute_dtype=dtype):
         layer = make_layer()
+        if kernel == "reference":
+            layer = reference_layer(layer)
         layer.build(input_shape, np.random.default_rng(0))
     x = x64.astype(layer.params[0].dtype)
     grad_shape = layer.forward(x, training=True).shape
@@ -133,8 +138,10 @@ def _epoch_seconds(builder, shape, width_scale, n, kernel, dtype, batch_size=32)
     rng = np.random.default_rng(0)
     X = rng.random((n,) + shape) - 0.5
     y = rng.integers(0, 4, n)
-    with policy_scope(compute_dtype=dtype, conv_kernel=kernel):
+    with policy_scope(compute_dtype=dtype):
         model = builder(4, width_scale=width_scale, seed=0)
+        if kernel == "reference":
+            use_reference_convs(model)
         model.build(shape)
 
         def epoch():

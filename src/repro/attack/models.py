@@ -17,9 +17,8 @@ runs; 1.0 reproduces the paper's layer sizes exactly.
 
 Both builders are policy-aware: layers build their parameters in the
 :mod:`repro.nn.policy` compute dtype (float64 by default, float32 via
-``set_policy``/``--nn-dtype``) and the convolutions run through the
-policy's kernel selection — the im2col/GEMM path by default, or the
-original kernel-offset reference path for parity checks. See
+``set_policy``/``--nn-dtype``), and every convolution runs through the
+one im2col/GEMM lowering in :mod:`repro.nn.layers`. See
 ``benchmarks/test_nn_kernels.py`` for measured epoch-time speedups.
 """
 

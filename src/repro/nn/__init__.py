@@ -1,15 +1,14 @@
 """Neural-network substrate (numpy, from scratch).
 
 Implements everything the paper's two Keras models need: 1-D and 2-D
-convolutions (im2col/GEMM, with the original kernel-offset summation
-kept as a selectable reference path), max pooling, batch normalisation,
-dropout, dense layers, ReLU/softmax, categorical cross-entropy,
-SGD-momentum and Adam optimisers, and a
-:class:`~repro.nn.model.Sequential` container with a Keras-style ``fit``
-that records per-epoch training/validation loss and accuracy (the
-history behind the paper's Fig. 7 curves). :mod:`repro.nn.policy`
-selects the compute dtype (float64 default / float32) and the conv
-kernel for the whole package. :mod:`repro.nn.quant` adds the
+convolutions (one im2col/GEMM lowering; the 1-D layers run as height-1
+2-D ones), max pooling, batch normalisation, dropout, dense layers,
+ReLU/softmax, categorical cross-entropy, SGD-momentum and Adam
+optimisers, and a :class:`~repro.nn.model.Sequential` container with a
+Keras-style ``fit`` that records per-epoch training/validation loss and
+accuracy (the history behind the paper's Fig. 7 curves).
+:mod:`repro.nn.policy` selects the compute dtype (float64 default /
+float32) for the whole package. :mod:`repro.nn.quant` adds the
 inference-only int8 path (post-training per-channel weight
 quantisation, BatchNorm-folded fused forward) and
 :mod:`repro.nn.distill` trains narrower students against teacher soft
@@ -22,7 +21,6 @@ from repro.nn.policy import (
     set_policy,
     policy_scope,
     compute_dtype,
-    conv_kernel,
 )
 from repro.nn.initializers import he_normal, glorot_uniform
 from repro.nn.activations import relu, relu_grad, softmax
@@ -59,7 +57,6 @@ __all__ = [
     "set_policy",
     "policy_scope",
     "compute_dtype",
-    "conv_kernel",
     "he_normal",
     "glorot_uniform",
     "relu",

@@ -10,16 +10,17 @@ Conventions
 - Convolutions use "same" zero padding (as the paper's feature CNN
   states) or "valid".
 - Parameters are allocated in the :mod:`repro.nn.policy` compute dtype
-  at ``build`` time; the convolution kernel ("gemm" im2col/GEMM or the
-  original "reference" kernel-offset summation) is re-read from the
-  policy on every forward, unless pinned per layer via ``kernel=``.
+  at ``build`` time.
 
-The GEMM path lowers each convolution to one matrix multiply per
-direction: ``sliding_window_view`` gathers the receptive fields into a
-per-layer reusable im2col workspace (grown once, then recycled every
-batch), the forward is ``cols @ W2d + b`` and the backward is two GEMMs
-(``colsᵀ @ grad`` for dW, ``grad @ W2dᵀ`` followed by a kh·kw slice
-scatter-add for dX). 1x1 convolutions skip the gather entirely.
+There is one convolution lowering and one max-pool routine; the 1-D
+layers run through them as height-1 images (``(N, L, C)`` viewed as
+``(N, 1, L, C)``, a ``(k, c, f)`` kernel as ``(1, k, c, f)``). Each
+convolution is one matrix multiply per direction: ``sliding_window_view``
+gathers the receptive fields into a per-layer reusable im2col workspace
+(grown once, then recycled every batch), the forward is
+``cols @ W2d + b`` and the backward is two GEMMs (``colsᵀ @ grad`` for
+dW, ``grad @ W2dᵀ`` followed by a kh·kw slice scatter-add for dX). 1x1
+convolutions skip the gather entirely.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.activations import relu, relu_grad
 from repro.nn.initializers import he_normal
-from repro.nn.policy import CONV_KERNELS, get_policy
+from repro.nn.policy import get_policy
 
 __all__ = [
     "Layer",
@@ -141,15 +142,6 @@ class Dense(Layer):
         return (self.units,)
 
     def forward(self, x, training):
-        if get_policy().conv_kernel == "quantized":
-            if training:
-                raise RuntimeError(
-                    "the quantized kernel is inference-only; train under "
-                    "'gemm' or 'reference' and quantize afterwards"
-                )
-            from repro.nn.quant import dense_forward_quantized
-
-            return dense_forward_quantized(self.W, self.b, x)
         self._x = x
         return x @ self.W + self.b
 
@@ -257,138 +249,91 @@ def _pad_amounts(size: int, kernel: int, padding: str) -> Tuple[int, int]:
     raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
-class _ConvBase(Layer):
-    """Shared kernel dispatch for the convolution layers."""
+def _as_image(x: np.ndarray) -> np.ndarray:
+    """View a ``(n, L, c)`` sequence as a height-1 ``(n, 1, L, c)`` image."""
+    return x[:, None] if x.ndim == 3 else x
 
-    def __init__(self, kernel: Optional[str]):
+
+def _im2col(x, kh, kw, padding, ws):
+    """Pad ``x`` ``(n, h, w, c)`` and gather its kh×kw receptive fields.
+
+    Returns ``(cols, (h_out, w_out), pads)`` where ``cols`` holds one
+    ``kh*kw*c`` row per output pixel, copied into the workspace ``ws``.
+    1x1 kernels skip the gather: the pixels already are the rows.
+    """
+    n, _, _, c = x.shape
+    if kh == 1 and kw == 1:
+        return x.reshape(-1, c), x.shape[1:3], (0, 0, 0, 0)
+    ph0, ph1 = _pad_amounts(x.shape[1], kh, padding)
+    pw0, pw1 = _pad_amounts(x.shape[2], kw, padding)
+    if ph0 or ph1 or pw0 or pw1:
+        x = np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
+    h_out = x.shape[1] - kh + 1
+    w_out = x.shape[2] - kw + 1
+    # (n, h_out, w_out, c, kh, kw) view -> contiguous (rows, kh*kw*c).
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))
+    cols6 = ws.get((n, h_out, w_out, kh, kw, c), x.dtype)
+    np.copyto(cols6, windows.transpose(0, 1, 2, 4, 5, 3))
+    cols = cols6.reshape(n * h_out * w_out, kh * kw * c)
+    return cols, (h_out, w_out), (ph0, ph1, pw0, pw1)
+
+
+class _Conv(Layer):
+    """The one convolution lowering (stride 1, channels-last).
+
+    Inputs are viewed as ``(n, h, w, c)`` images and weights as
+    ``(kh, kw, c, f)``; :class:`Conv1D` runs here at height 1.
+    """
+
+    def __init__(self, filters: int, padding: str):
         super().__init__()
-        if kernel is not None and kernel not in CONV_KERNELS:
-            raise ValueError(f"kernel must be one of {CONV_KERNELS}, got {kernel!r}")
-        self.kernel = kernel
+        if filters < 1:
+            raise ValueError("filters must be >= 1")
+        self.filters = int(filters)
+        self.padding = padding
         self._cols_ws = _Workspace()
         self._dcols_ws = _Workspace()
 
-    def _active_kernel(self) -> str:
-        return self.kernel if self.kernel is not None else get_policy().conv_kernel
-
-    def forward(self, x, training):
-        kernel = self._active_kernel()
-        self._fwd_kernel = kernel  # backward must match the forward's cache
-        if kernel == "reference":
-            return self._forward_reference(x, training)
-        if kernel == "quantized":
-            if training:
-                raise RuntimeError(
-                    "the quantized kernel is inference-only; train under "
-                    "'gemm' or 'reference' and quantize afterwards"
-                )
-            from repro.nn.quant import conv_forward_quantized
-
-            return conv_forward_quantized(self, x)
-        return self._forward_gemm(x, training)
-
-    def backward(self, grad):
-        if self._fwd_kernel == "reference":
-            return self._backward_reference(grad)
-        if self._fwd_kernel == "quantized":
-            raise RuntimeError("the quantized kernel has no backward pass")
-        return self._backward_gemm(grad)
-
-
-class Conv2D(_ConvBase):
-    """2-D convolution (stride 1, channels-last).
-
-    The default "gemm" kernel lowers the convolution to im2col plus a
-    single GEMM per direction; ``kernel="reference"`` pins this layer to
-    the original kernel-offset summation (otherwise the
-    :mod:`repro.nn.policy` selection applies).
-    """
-
-    def __init__(
-        self,
-        filters: int,
-        kernel_size,
-        padding: str = "same",
-        kernel: Optional[str] = None,
-    ):
-        super().__init__(kernel)
-        if filters < 1:
-            raise ValueError("filters must be >= 1")
-        if isinstance(kernel_size, int):
-            kernel_size = (kernel_size, kernel_size)
-        self.filters = int(filters)
-        self.kh, self.kw = int(kernel_size[0]), int(kernel_size[1])
-        if self.kh < 1 or self.kw < 1:
-            raise ValueError("kernel dims must be >= 1")
-        self.padding = padding
-
-    def build(self, input_shape, rng):
-        if len(input_shape) != 3:
-            raise ValueError(f"Conv2D expects (H, W, C) input, got {input_shape}")
-        c_in = input_shape[2]
-        fan_in = self.kh * self.kw * c_in
+    def _init_params(self, shape: Tuple[int, ...], rng) -> None:
+        fan_in = int(np.prod(shape[:-1]))
         dtype = get_policy().compute_dtype
-        self.W = he_normal((self.kh, self.kw, c_in, self.filters), fan_in, rng)
-        self.W = self.W.astype(dtype)
+        self.W = he_normal(shape, fan_in, rng).astype(dtype)
         self.b = np.zeros(self.filters, dtype=dtype)
         self.params = [self.W, self.b]
         self.grads = [np.zeros_like(self.W), np.zeros_like(self.b)]
         self.built = True
 
-    def output_shape(self, input_shape):
-        h, w, _ = input_shape
-        if self.padding == "same":
-            return (h, w, self.filters)
-        return (h - self.kh + 1, w - self.kw + 1, self.filters)
+    def _kernel(self) -> np.ndarray:
+        return self.W if self.W.ndim == 4 else self.W[None]
 
-    # -- gemm kernel --------------------------------------------------------
-    def _forward_gemm(self, x, training):
-        kh, kw, f = self.kh, self.kw, self.filters
-        c = self.W.shape[2]
-        n = x.shape[0]
-        if kh == 1 and kw == 1:
-            # Pointwise: the pixels already are the im2col rows.
-            self._x2 = x.reshape(-1, c)
-            self._x_shape = x.shape
-            out = self._x2 @ self.W[0, 0]
-            out += self.b
-            return out.reshape(n, x.shape[1], x.shape[2], f)
-        ph0, ph1 = _pad_amounts(x.shape[1], kh, self.padding)
-        pw0, pw1 = _pad_amounts(x.shape[2], kw, self.padding)
-        if ph0 or ph1 or pw0 or pw1:
-            xp = np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
-        else:
-            xp = x
-        h_out = xp.shape[1] - kh + 1
-        w_out = xp.shape[2] - kw + 1
-        # (n, h_out, w_out, c, kh, kw) view -> contiguous (rows, kh*kw*c).
-        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-        cols6 = self._cols_ws.get((n, h_out, w_out, kh, kw, c), xp.dtype)
-        np.copyto(cols6, windows.transpose(0, 1, 2, 4, 5, 3))
-        cols = cols6.reshape(n * h_out * w_out, kh * kw * c)
-        out = cols @ self.W.reshape(kh * kw * c, f)
+    def forward(self, x, training):
+        W = self._kernel()
+        kh, kw, _, f = W.shape
+        self._x_shape = x.shape
+        cols, (h_out, w_out), self._pads = _im2col(
+            _as_image(x), kh, kw, self.padding, self._cols_ws
+        )
+        out = cols @ W.reshape(-1, f)
         out += self.b
         self._cols = cols
-        self._x_shape = x.shape
-        self._pads = (ph0, ph1, pw0, pw1)
         self._out_hw = (h_out, w_out)
-        return out.reshape(n, h_out, w_out, f)
+        out = out.reshape(x.shape[0], h_out, w_out, f)
+        return out if x.ndim == 4 else out[:, 0]
 
-    def _backward_gemm(self, grad):
-        kh, kw, f = self.kh, self.kw, self.filters
-        c = self.W.shape[2]
+    def backward(self, grad):
+        W = self._kernel()
+        kh, kw, c, f = W.shape
+        W2 = W.reshape(-1, f)
+        g2 = grad.reshape(-1, f)
+        self.grads[0][...] = (self._cols.T @ g2).reshape(self.W.shape)
         if kh == 1 and kw == 1:
-            g2 = grad.reshape(-1, f)
-            self.grads[0][...] = self._x2.T @ g2
             self.grads[1][...] = g2.sum(axis=0)
-            return (g2 @ self.W[0, 0].T).reshape(self._x_shape)
+            return (g2 @ W2.T).reshape(self._x_shape)
         n = self._x_shape[0]
         h_out, w_out = self._out_hw
-        g2 = grad.reshape(n * h_out * w_out, f)
-        self.grads[0][...] = (self._cols.T @ g2).reshape(self.W.shape)
-        self.grads[1][...] = grad.sum(axis=(0, 1, 2))
+        self.grads[1][...] = grad.sum(axis=tuple(range(grad.ndim - 1)))
         dcols = self._dcols_ws.get((g2.shape[0], kh * kw * c), self._cols.dtype)
-        np.matmul(g2, self.W.reshape(kh * kw * c, f).T, out=dcols)
+        np.matmul(g2, W2.T, out=dcols)
         dcols6 = dcols.reshape(n, h_out, w_out, kh, kw, c)
         dxp = np.zeros(
             (n, h_out + kh - 1, w_out + kw - 1, c), dtype=dcols.dtype
@@ -398,76 +343,45 @@ class Conv2D(_ConvBase):
                 dxp[:, i : i + h_out, j : j + w_out, :] += dcols6[:, :, :, i, j, :]
         ph0, ph1, pw0, pw1 = self._pads
         hp, wp = dxp.shape[1], dxp.shape[2]
-        return dxp[:, ph0 : hp - ph1, pw0 : wp - pw1, :]
-
-    # -- reference kernel (the original kernel-offset summation) ------------
-    def _forward_reference(self, x, training):
-        ph0, ph1 = _pad_amounts(x.shape[1], self.kh, self.padding)
-        pw0, pw1 = _pad_amounts(x.shape[2], self.kw, self.padding)
-        xp = np.pad(x, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
-        self._xp = xp
-        self._pads = (ph0, ph1, pw0, pw1)
-        n, hp, wp, c = xp.shape
-        h_out = hp - self.kh + 1
-        w_out = wp - self.kw + 1
-        out = np.tile(self.b, (n, h_out, w_out, 1))
-        for i in range(self.kh):
-            for j in range(self.kw):
-                patch = xp[:, i : i + h_out, j : j + w_out, :]
-                out += patch @ self.W[i, j]
-        self._out_hw = (h_out, w_out)
-        return out
-
-    def _backward_reference(self, grad):
-        xp = self._xp
-        h_out, w_out = self._out_hw
-        dxp = np.zeros_like(xp)
-        self.grads[0][...] = 0.0
-        for i in range(self.kh):
-            for j in range(self.kw):
-                patch = xp[:, i : i + h_out, j : j + w_out, :]
-                self.grads[0][i, j] = np.tensordot(
-                    patch, grad, axes=([0, 1, 2], [0, 1, 2])
-                )
-                dxp[:, i : i + h_out, j : j + w_out, :] += grad @ self.W[i, j].T
-        self.grads[1][...] = grad.sum(axis=(0, 1, 2))
-        ph0, ph1, pw0, pw1 = self._pads
-        hp, wp = dxp.shape[1], dxp.shape[2]
-        return dxp[:, ph0 : hp - ph1, pw0 : wp - pw1, :]
+        return dxp[:, ph0 : hp - ph1, pw0 : wp - pw1, :].reshape(self._x_shape)
 
 
-class Conv1D(_ConvBase):
-    """1-D convolution (stride 1, channels-last).
+class Conv2D(_Conv):
+    """2-D convolution (stride 1, channels-last), weights ``(kh, kw, c, f)``."""
 
-    Kernel selection mirrors :class:`Conv2D`: "gemm" (im2col + GEMM,
-    default) or "reference" (kernel-offset summation).
-    """
+    def __init__(self, filters: int, kernel_size, padding: str = "same"):
+        super().__init__(filters, padding)
+        if isinstance(kernel_size, int):
+            kernel_size = (kernel_size, kernel_size)
+        self.kh, self.kw = int(kernel_size[0]), int(kernel_size[1])
+        if self.kh < 1 or self.kw < 1:
+            raise ValueError("kernel dims must be >= 1")
 
-    def __init__(
-        self,
-        filters: int,
-        kernel_size: int,
-        padding: str = "same",
-        kernel: Optional[str] = None,
-    ):
-        super().__init__(kernel)
-        if filters < 1 or kernel_size < 1:
-            raise ValueError("filters and kernel_size must be >= 1")
-        self.filters = int(filters)
+    def build(self, input_shape, rng):
+        if len(input_shape) != 3:
+            raise ValueError(f"Conv2D expects (H, W, C) input, got {input_shape}")
+        self._init_params((self.kh, self.kw, input_shape[2], self.filters), rng)
+
+    def output_shape(self, input_shape):
+        h, w, _ = input_shape
+        if self.padding == "same":
+            return (h, w, self.filters)
+        return (h - self.kh + 1, w - self.kw + 1, self.filters)
+
+
+class Conv1D(_Conv):
+    """1-D convolution (stride 1, channels-last), weights ``(k, c, f)``."""
+
+    def __init__(self, filters: int, kernel_size: int, padding: str = "same"):
+        super().__init__(filters, padding)
+        if kernel_size < 1:
+            raise ValueError("kernel_size must be >= 1")
         self.k = int(kernel_size)
-        self.padding = padding
 
     def build(self, input_shape, rng):
         if len(input_shape) != 2:
             raise ValueError(f"Conv1D expects (L, C) input, got {input_shape}")
-        c_in = input_shape[1]
-        fan_in = self.k * c_in
-        dtype = get_policy().compute_dtype
-        self.W = he_normal((self.k, c_in, self.filters), fan_in, rng).astype(dtype)
-        self.b = np.zeros(self.filters, dtype=dtype)
-        self.params = [self.W, self.b]
-        self.grads = [np.zeros_like(self.W), np.zeros_like(self.b)]
-        self.built = True
+        self._init_params((self.k, input_shape[1], self.filters), rng)
 
     def output_shape(self, input_shape):
         length, _ = input_shape
@@ -475,179 +389,63 @@ class Conv1D(_ConvBase):
             return (length, self.filters)
         return (length - self.k + 1, self.filters)
 
-    # -- gemm kernel --------------------------------------------------------
-    def _forward_gemm(self, x, training):
-        k, f = self.k, self.filters
-        c = self.W.shape[1]
-        n = x.shape[0]
-        if k == 1:
-            self._x2 = x.reshape(-1, c)
-            self._x_shape = x.shape
-            out = self._x2 @ self.W[0]
-            out += self.b
-            return out.reshape(n, x.shape[1], f)
-        p0, p1 = _pad_amounts(x.shape[1], k, self.padding)
-        xp = np.pad(x, ((0, 0), (p0, p1), (0, 0))) if (p0 or p1) else x
-        l_out = xp.shape[1] - k + 1
-        # (n, l_out, c, k) view -> contiguous (rows, k*c).
-        windows = sliding_window_view(xp, k, axis=1)
-        cols4 = self._cols_ws.get((n, l_out, k, c), xp.dtype)
-        np.copyto(cols4, windows.transpose(0, 1, 3, 2))
-        cols = cols4.reshape(n * l_out, k * c)
-        out = cols @ self.W.reshape(k * c, f)
-        out += self.b
-        self._cols = cols
-        self._x_shape = x.shape
-        self._pads = (p0, p1)
-        self._l_out = l_out
-        return out.reshape(n, l_out, f)
 
-    def _backward_gemm(self, grad):
-        k, f = self.k, self.filters
-        c = self.W.shape[1]
-        if k == 1:
-            g2 = grad.reshape(-1, f)
-            self.grads[0][...] = self._x2.T @ g2
-            self.grads[1][...] = g2.sum(axis=0)
-            return (g2 @ self.W[0].T).reshape(self._x_shape)
-        n = self._x_shape[0]
-        l_out = self._l_out
-        g2 = grad.reshape(n * l_out, f)
-        self.grads[0][...] = (self._cols.T @ g2).reshape(self.W.shape)
-        self.grads[1][...] = grad.sum(axis=(0, 1))
-        dcols = self._dcols_ws.get((g2.shape[0], k * c), self._cols.dtype)
-        np.matmul(g2, self.W.reshape(k * c, f).T, out=dcols)
-        dcols4 = dcols.reshape(n, l_out, k, c)
-        dxp = np.zeros((n, l_out + k - 1, c), dtype=dcols.dtype)
-        for i in range(k):
-            dxp[:, i : i + l_out, :] += dcols4[:, :, i, :]
-        p0, p1 = self._pads
-        lp = dxp.shape[1]
-        return dxp[:, p0 : lp - p1, :]
+class _MaxPool(Layer):
+    """The one non-overlapping max-pool routine over ``(n, h, w, c)``.
 
-    # -- reference kernel (the original kernel-offset summation) ------------
-    def _forward_reference(self, x, training):
-        p0, p1 = _pad_amounts(x.shape[1], self.k, self.padding)
-        xp = np.pad(x, ((0, 0), (p0, p1), (0, 0)))
-        self._xp = xp
-        self._pads = (p0, p1)
-        n, lp, c = xp.shape
-        l_out = lp - self.k + 1
-        out = np.tile(self.b, (n, l_out, 1))
-        for i in range(self.k):
-            out += xp[:, i : i + l_out, :] @ self.W[i]
-        self._l_out = l_out
-        return out
-
-    def _backward_reference(self, grad):
-        xp = self._xp
-        l_out = self._l_out
-        dxp = np.zeros_like(xp)
-        self.grads[0][...] = 0.0
-        for i in range(self.k):
-            patch = xp[:, i : i + l_out, :]
-            self.grads[0][i] = np.tensordot(patch, grad, axes=([0, 1], [0, 1]))
-            dxp[:, i : i + l_out, :] += grad @ self.W[i].T
-        self.grads[1][...] = grad.sum(axis=(0, 1))
-        p0, p1 = self._pads
-        lp = dxp.shape[1]
-        return dxp[:, p0 : lp - p1, :]
-
-
-class MaxPool2D(Layer):
-    """Non-overlapping 2-D max pooling (trailing remainder cropped)."""
+    Each window axis is clamped to the input's size, so an axis shorter
+    than the pool is pooled whole and a trailing remainder is cropped;
+    :class:`MaxPool1D` runs here at height 1. Ties route the gradient to
+    the first maximum in row-major window order.
+    """
 
     def __init__(self, pool_size: int = 2):
         super().__init__()
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         self.p = int(pool_size)
+
+    def forward(self, x, training):
+        self._shape = x.shape
+        x4 = _as_image(x)
+        n, h, w, c = x4.shape
+        ph, pw = min(self.p, h), min(self.p, w)
+        h_out, w_out = h // ph, w // pw
+        xc = x4[:, : h_out * ph, : w_out * pw, :]
+        blocks = xc.reshape(n, h_out, ph, w_out, pw, c).transpose(0, 1, 3, 5, 2, 4)
+        blocks = blocks.reshape(n, h_out, w_out, c, ph * pw)
+        self._argmax = blocks.argmax(axis=-1)
+        self._hw, self._window = (h, w), (ph, pw)
+        # One reduction pass: the max is the value at the argmax, so a
+        # gather replaces a second full scan of the pooling windows.
+        out = np.take_along_axis(blocks, self._argmax[..., None], axis=-1)[..., 0]
+        return out if x.ndim == 4 else out[:, 0]
+
+    def backward(self, grad):
+        n, h_out, w_out, c = self._argmax.shape
+        (h, w), (ph, pw) = self._hw, self._window
+        # Flat pixel index of each window's corner, plus the offset of
+        # each position inside a window, picked by the argmax.
+        corner = (np.arange(n)[:, None, None] * h + np.arange(h_out)[:, None] * ph) * w
+        corner = corner + np.arange(w_out) * pw
+        within = (np.arange(ph)[:, None] * w + np.arange(pw)).ravel()
+        flat_idx = (corner[..., None] + within[self._argmax]) * c + np.arange(c)
+        dx = np.zeros(self._shape, dtype=grad.dtype)
+        dx.reshape(-1)[flat_idx.ravel()] = grad.ravel()
+        return dx
+
+
+class MaxPool2D(_MaxPool):
+    """Non-overlapping 2-D max pooling (trailing remainder cropped)."""
 
     def output_shape(self, input_shape):
         h, w, c = input_shape
         return (max(1, h // self.p), max(1, w // self.p), c)
 
-    def forward(self, x, training):
-        n, h, w, c = x.shape
-        p = self.p
-        h_out, w_out = max(1, h // p), max(1, w // p)
-        if h < p or w < p:
-            # Degenerate: pool over whatever is there.
-            self._degenerate = True
-            self._shape = x.shape
-            flat = x.reshape(n, h * w, c)
-            self._argmax = flat.argmax(axis=1)
-            return flat.max(axis=1).reshape(n, 1, 1, c)
-        self._degenerate = False
-        xc = x[:, : h_out * p, : w_out * p, :]
-        self._shape = x.shape
-        self._dtype = x.dtype
-        blocks = xc.reshape(n, h_out, p, w_out, p, c).transpose(0, 1, 3, 5, 2, 4)
-        blocks = blocks.reshape(n, h_out, w_out, c, p * p)
-        self._argmax = blocks.argmax(axis=-1)
-        # One reduction pass: the max is the value at the argmax, so a
-        # gather replaces a second full scan of the pooling windows.
-        return np.take_along_axis(blocks, self._argmax[..., None], axis=-1)[..., 0]
 
-    def backward(self, grad):
-        n, h, w, c = self._shape
-        p = self.p
-        dx = np.zeros((n, h, w, c), dtype=grad.dtype)
-        if self._degenerate:
-            flat = dx.reshape(n, h * w, c)
-            ni, ci = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-            flat[ni, self._argmax, ci] = grad.reshape(n, c)
-            return flat.reshape(n, h, w, c)
-        h_out, w_out = grad.shape[1], grad.shape[2]
-        rows, cols = np.divmod(self._argmax, p)
-        ni = np.arange(n)[:, None, None, None]
-        hb = (np.arange(h_out) * p)[None, :, None, None]
-        wb = (np.arange(w_out) * p)[None, None, :, None]
-        ci = np.arange(c)[None, None, None, :]
-        flat_idx = ((ni * h + hb + rows) * w + (wb + cols)) * c + ci
-        dx.reshape(-1)[flat_idx.ravel()] = grad.ravel()
-        return dx
-
-
-class MaxPool1D(Layer):
+class MaxPool1D(_MaxPool):
     """Non-overlapping 1-D max pooling (trailing remainder cropped)."""
-
-    def __init__(self, pool_size: int = 2):
-        super().__init__()
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
-        self.p = int(pool_size)
 
     def output_shape(self, input_shape):
         length, c = input_shape
         return (max(1, length // self.p), c)
-
-    def forward(self, x, training):
-        n, length, c = x.shape
-        p = self.p
-        self._shape = x.shape
-        if length < p:
-            self._degenerate = True
-            self._argmax = x.argmax(axis=1)
-            return x.max(axis=1, keepdims=True)
-        self._degenerate = False
-        l_out = length // p
-        xc = x[:, : l_out * p, :].reshape(n, l_out, p, c)
-        self._argmax = xc.argmax(axis=2)
-        return np.take_along_axis(xc, self._argmax[:, :, None, :], axis=2)[:, :, 0, :]
-
-    def backward(self, grad):
-        n, length, c = self._shape
-        p = self.p
-        dx = np.zeros((n, length, c), dtype=grad.dtype)
-        if self._degenerate:
-            ni, ci = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-            dx[ni, self._argmax, ci] = grad[:, 0, :]
-            return dx
-        l_out = grad.shape[1]
-        ni = np.arange(n)[:, None, None]
-        lb = (np.arange(l_out) * p)[None, :, None]
-        ci = np.arange(c)[None, None, :]
-        flat_idx = (ni * length + lb + self._argmax) * c + ci
-        dx.reshape(-1)[flat_idx.ravel()] = grad.ravel()
-        return dx

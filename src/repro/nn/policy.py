@@ -1,51 +1,37 @@
-"""Package-level precision and kernel policy for the NN substrate.
+"""Package-level precision policy for the NN substrate.
 
-Two knobs steer every layer built after the policy is set:
+One knob steers every layer built after the policy is set:
+``compute_dtype``, the dtype parameters are allocated in and inputs are
+cast to (``float64`` by default, preserving the historical numerics;
+``float32`` roughly halves memory traffic and doubles BLAS throughput at
+the cost of bitwise determinism across BLAS builds).
 
-- ``compute_dtype`` — the dtype parameters are allocated in and inputs
-  are cast to (``float64`` by default, preserving the historical
-  numerics; ``float32`` roughly halves memory traffic and doubles BLAS
-  throughput at the cost of bitwise determinism across BLAS builds);
-- ``conv_kernel`` — the convolution implementation: ``"gemm"``
-  (im2col + one matrix multiply per direction, the default),
-  ``"reference"`` (the original kernel-offset summation, kept as the
-  numerical reference the GEMM path is parity-tested against), or
-  ``"quantized"`` (inference-only int8 weight/activation matmul with
-  float32 accumulate — see :mod:`repro.nn.quant`; training under this
-  kernel raises).
-
-The policy is process-wide and read at ``build``/``forward`` time;
+The policy is process-wide and read at ``build`` time;
 :func:`policy_scope` scopes a change to a ``with`` block (used by the
-parity tests and the kernel microbenchmarks), and the CLI exposes both
-knobs as ``--nn-dtype`` / ``--nn-kernel``.
+tests and the kernel microbenchmarks), and the CLI exposes the knob as
+``--nn-dtype``. Int8 inference is not a policy: it is a separate model
+(:mod:`repro.nn.quant`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 __all__ = [
     "COMPUTE_DTYPES",
-    "CONV_KERNELS",
     "PrecisionPolicy",
     "get_policy",
     "set_policy",
     "policy_scope",
     "compute_dtype",
-    "conv_kernel",
 ]
 
 #: Allowed compute dtypes, by CLI name.
 COMPUTE_DTYPES = {"float32": np.dtype(np.float32), "float64": np.dtype(np.float64)}
-
-#: Allowed convolution kernel implementations. "quantized" is the
-#: inference-only int8 path (repro.nn.quant); it quantises weights per
-#: output channel on the fly and refuses to train.
-CONV_KERNELS = ("gemm", "reference", "quantized")
 
 
 def _coerce_dtype(value: Union[str, np.dtype, type]) -> np.dtype:
@@ -61,21 +47,16 @@ def _coerce_dtype(value: Union[str, np.dtype, type]) -> np.dtype:
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """The active compute dtype and convolution kernel selection."""
+    """The active compute dtype."""
 
     compute_dtype: np.dtype = np.dtype(np.float64)
-    conv_kernel: str = "gemm"
 
     def __post_init__(self):
         object.__setattr__(self, "compute_dtype", _coerce_dtype(self.compute_dtype))
-        if self.conv_kernel not in CONV_KERNELS:
-            raise ValueError(
-                f"conv_kernel must be one of {CONV_KERNELS}, got {self.conv_kernel!r}"
-            )
 
 
 #: Default: float64 numerics (bit-compatible with the seed repo's
-#: training trajectories) through the fast GEMM kernels.
+#: training trajectories).
 DEFAULT_POLICY = PrecisionPolicy()
 
 _current = DEFAULT_POLICY
@@ -88,33 +69,23 @@ def get_policy() -> PrecisionPolicy:
 
 def set_policy(
     compute_dtype: Optional[Union[str, np.dtype, type]] = None,
-    conv_kernel: Optional[str] = None,
 ) -> PrecisionPolicy:
-    """Replace selected fields of the process-wide policy; returns it.
+    """Set the process-wide compute dtype (``None`` keeps it); returns the policy.
 
-    Pass ``None`` to keep a field as is. Affects layers built afterwards
-    (parameter dtype is fixed at ``build``; the conv kernel is re-read
-    every ``forward``).
+    Affects layers built afterwards: parameter dtype is fixed at ``build``.
     """
     global _current
-    updates = {}
     if compute_dtype is not None:
-        updates["compute_dtype"] = _coerce_dtype(compute_dtype)
-    if conv_kernel is not None:
-        updates["conv_kernel"] = conv_kernel
-    _current = replace(_current, **updates)
+        _current = PrecisionPolicy(compute_dtype)
     return _current
 
 
 @contextmanager
-def policy_scope(
-    compute_dtype: Optional[Union[str, np.dtype, type]] = None,
-    conv_kernel: Optional[str] = None,
-):
-    """Set policy fields for the duration of a ``with`` block."""
+def policy_scope(compute_dtype: Optional[Union[str, np.dtype, type]] = None):
+    """Set the compute dtype for the duration of a ``with`` block."""
     previous = _current
     try:
-        yield set_policy(compute_dtype=compute_dtype, conv_kernel=conv_kernel)
+        yield set_policy(compute_dtype)
     finally:
         _restore(previous)
 
@@ -127,8 +98,3 @@ def _restore(policy: PrecisionPolicy) -> None:
 def compute_dtype() -> np.dtype:
     """The active compute dtype."""
     return _current.compute_dtype
-
-
-def conv_kernel() -> str:
-    """The active convolution kernel implementation."""
-    return _current.conv_kernel

@@ -14,7 +14,7 @@ inference-only int8 pipeline:
   match the original inference path to float rounding.
 - **Quantised layers** — :class:`QuantizedDense`,
   :class:`QuantizedConv1D` and :class:`QuantizedConv2D` run the
-  int8×int8 matmul over the same im2col lowering the float GEMM kernels
+  int8×int8 matmul over the same im2col gather the float convolutions
   use. numpy has no int8 GEMM, so the integer operands are staged in
   float32 and multiplied through BLAS sgemm: every int8×int8 product is
   exact in float32 and the accumulation is float32 (the "int8 matmul
@@ -32,21 +32,16 @@ inference-only int8 pipeline:
   :class:`QuantizedCNNClassifier` with the same predict API, ready for
   bundling.
 
-The :mod:`repro.nn.policy` kernel ``"quantized"`` routes the *float*
-layers through :func:`conv_forward_quantized` /
-:func:`dense_forward_quantized` on the fly (weights re-quantised every
-forward, so there is no staleness after further training); the
-:class:`QuantizedSequential` path pre-quantises once and is what
-serving deploys.
+Weights are quantised once, when the :class:`QuantizedSequential` is
+built; that model is what serving deploys.
 """
 
 from __future__ import annotations
 
 import io
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.activations import softmax
 from repro.nn.layers import (
@@ -59,7 +54,8 @@ from repro.nn.layers import (
     MaxPool1D,
     MaxPool2D,
     ReLU,
-    _pad_amounts,
+    _as_image,
+    _im2col,
     _Workspace,
 )
 from repro.nn.losses import CategoricalCrossEntropy
@@ -81,8 +77,6 @@ __all__ = [
     "quantize_adapter",
     "quantized_model_to_members",
     "quantized_model_from_members",
-    "conv_forward_quantized",
-    "dense_forward_quantized",
 ]
 
 #: Symmetric int8 range: codes live in [-QMAX, QMAX]; -128 is unused so
@@ -169,11 +163,10 @@ def _clone_stateless(layer):
 def _clone_param_layer(layer, W: np.ndarray, b: np.ndarray):
     """A built copy of a conv/dense layer carrying the given weights."""
     if isinstance(layer, Conv1D):
-        new = Conv1D(layer.filters, layer.k, padding=layer.padding,
-                     kernel=layer.kernel)
+        new = Conv1D(layer.filters, layer.k, padding=layer.padding)
     elif isinstance(layer, Conv2D):
         new = Conv2D(layer.filters, (layer.kh, layer.kw),
-                     padding=layer.padding, kernel=layer.kernel)
+                     padding=layer.padding)
     elif isinstance(layer, Dense):
         new = Dense(layer.units)
     else:  # pragma: no cover - guarded by callers
@@ -283,115 +276,51 @@ class QuantizedDense(_QuantizedLayer):
         return acc * (a[:, None] * self.scales[None, :]) + self.bias
 
 
-class QuantizedConv1D(_QuantizedLayer):
-    """Int8 1-D convolution (stride 1, channels-last, ``(k, c, f)`` int8).
+class _QuantizedConv(_QuantizedLayer):
+    """Int8 convolution (stride 1, channels-last) over ``(n, h, w, c)``.
 
-    Lowered exactly like the float GEMM kernel: pad, gather receptive
-    fields with ``sliding_window_view`` into an im2col workspace, one
-    matmul, then per-sample × per-channel dequantisation plus bias.
+    Lowered exactly like the float convolutions: the same im2col gather
+    (:class:`QuantizedConv1D` runs at height 1), one matmul, then
+    per-sample × per-channel dequantisation plus bias.
     """
 
-    def __init__(self, wq, scales, bias, padding: str = "same"):
-        super().__init__(wq, scales, bias)
-        if self.wq.ndim != 3:
-            raise ValueError(f"expected (k, c, f) weights, got {self.wq.shape}")
-        self.k, self.c_in, self.filters = self.wq.shape
-        self.padding = padding
-        self._w2 = np.ascontiguousarray(
-            self._wf.reshape(self.k * self.c_in, self.filters)
-        )
-        self._cols_ws = _Workspace()
-
-    def forward(self, x, training=False):
-        self._check_inference(training)
-        k, c, f = self.k, self.c_in, self.filters
-        xq, a = quantize_activations(x)
-        n = xq.shape[0]
-        if k == 1:
-            out = (xq.reshape(-1, c) @ self._w2).reshape(n, x.shape[1], f)
-        else:
-            p0, p1 = _pad_amounts(xq.shape[1], k, self.padding)
-            xp = np.pad(xq, ((0, 0), (p0, p1), (0, 0))) if (p0 or p1) else xq
-            l_out = xp.shape[1] - k + 1
-            windows = sliding_window_view(xp, k, axis=1)  # (n, l_out, c, k)
-            cols4 = self._cols_ws.get((n, l_out, k, c), np.float32)
-            np.copyto(cols4, windows.transpose(0, 1, 3, 2))
-            out = (cols4.reshape(n * l_out, k * c) @ self._w2).reshape(
-                n, l_out, f
-            )
-        return out * (a[:, None, None] * self.scales) + self.bias
-
-
-class QuantizedConv2D(_QuantizedLayer):
-    """Int8 2-D convolution (stride 1, channels-last, ``(kh, kw, c, f)``)."""
+    #: Weight rank: ``(k, c, f)`` for 1-D, ``(kh, kw, c, f)`` for 2-D.
+    _WEIGHT_NDIM = 4
 
     def __init__(self, wq, scales, bias, padding: str = "same"):
         super().__init__(wq, scales, bias)
-        if self.wq.ndim != 4:
+        if self.wq.ndim != self._WEIGHT_NDIM:
             raise ValueError(
-                f"expected (kh, kw, c, f) weights, got {self.wq.shape}"
+                f"expected rank-{self._WEIGHT_NDIM} (..., c, f) weights, "
+                f"got {self.wq.shape}"
             )
-        self.kh, self.kw, self.c_in, self.filters = self.wq.shape
         self.padding = padding
-        self._w2 = np.ascontiguousarray(
-            self._wf.reshape(self.kh * self.kw * self.c_in, self.filters)
-        )
+        self.filters = self.wq.shape[-1]
+        self._kernel_hw = (1,) * (4 - self.wq.ndim) + self.wq.shape[:-2]
+        self._w2 = np.ascontiguousarray(self._wf.reshape(-1, self.filters))
         self._cols_ws = _Workspace()
 
     def forward(self, x, training=False):
         self._check_inference(training)
-        kh, kw, c, f = self.kh, self.kw, self.c_in, self.filters
         xq, a = quantize_activations(x)
-        n = xq.shape[0]
-        if kh == 1 and kw == 1:
-            out = (xq.reshape(-1, c) @ self._w2).reshape(
-                n, x.shape[1], x.shape[2], f
-            )
-        else:
-            ph0, ph1 = _pad_amounts(xq.shape[1], kh, self.padding)
-            pw0, pw1 = _pad_amounts(xq.shape[2], kw, self.padding)
-            if ph0 or ph1 or pw0 or pw1:
-                xp = np.pad(xq, ((0, 0), (ph0, ph1), (pw0, pw1), (0, 0)))
-            else:
-                xp = xq
-            h_out = xp.shape[1] - kh + 1
-            w_out = xp.shape[2] - kw + 1
-            windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-            cols6 = self._cols_ws.get((n, h_out, w_out, kh, kw, c), np.float32)
-            np.copyto(cols6, windows.transpose(0, 1, 2, 4, 5, 3))
-            out = (
-                cols6.reshape(n * h_out * w_out, kh * kw * c) @ self._w2
-            ).reshape(n, h_out, w_out, f)
-        return out * (a[:, None, None, None] * self.scales) + self.bias
+        cols, (h_out, w_out), _ = _im2col(
+            _as_image(xq), *self._kernel_hw, self.padding, self._cols_ws
+        )
+        out = (cols @ self._w2).reshape(x.shape[0], h_out, w_out, self.filters)
+        if x.ndim == 3:
+            out = out[:, 0]
+        a = a.reshape((-1,) + (1,) * (out.ndim - 1))
+        return out * (a * self.scales) + self.bias
 
 
-# -- on-the-fly policy kernels ------------------------------------------------
+class QuantizedConv1D(_QuantizedConv):
+    """Int8 1-D convolution, weights ``(k, c, f)`` int8."""
+
+    _WEIGHT_NDIM = 3
 
 
-def dense_forward_quantized(W: np.ndarray, b: np.ndarray,
-                            x: np.ndarray) -> np.ndarray:
-    """One quantised Dense forward for the ``"quantized"`` policy kernel.
-
-    Weights are re-quantised on every call (O(|W|), dwarfed by the
-    matmul) so the path is always consistent with the current floats.
-    """
-    wq, scales = quantize_weights(W, axis=-1)
-    xq, a = quantize_activations(x)
-    acc = xq @ wq.astype(np.float32)
-    return acc * (a[:, None] * scales[None, :]) + b.astype(np.float32)
-
-
-def conv_forward_quantized(layer, x: np.ndarray) -> np.ndarray:
-    """One quantised conv forward for the ``"quantized"`` policy kernel."""
-    wq, scales = quantize_weights(layer.W, axis=-1)
-    bias = layer.b.astype(np.float32)
-    if isinstance(layer, Conv1D):
-        q = QuantizedConv1D(wq, scales, bias, padding=layer.padding)
-    elif isinstance(layer, Conv2D):
-        q = QuantizedConv2D(wq, scales, bias, padding=layer.padding)
-    else:
-        raise TypeError(f"no quantised kernel for {type(layer).__name__}")
-    return q.forward(x, training=False)
+class QuantizedConv2D(_QuantizedConv):
+    """Int8 2-D convolution, weights ``(kh, kw, c, f)`` int8."""
 
 
 # -- quantised model container ------------------------------------------------

@@ -306,17 +306,13 @@ def _cnn_to_members(adapter) -> Tuple[dict, bytes]:
         return _quantized_cnn_to_members(adapter)
     adapter._check_fitted()
     model = adapter._model
-    policy = get_policy()
     config = {
         "kind": kind,
         "classes": np.asarray(adapter.classes_).tolist(),
         "width_scale": adapter.width_scale,
         "seed": adapter.seed,
         "input_shape": list(model.input_shape_),
-        "policy": {
-            "compute_dtype": str(policy.compute_dtype),
-            "conv_kernel": policy.conv_kernel,
-        },
+        "policy": {"compute_dtype": str(get_policy().compute_dtype)},
     }
     if kind == "feature_cnn":
         config["scaler"] = scaler_to_dict(adapter._scaler)
@@ -344,10 +340,9 @@ def _cnn_from_members(config: dict, weights: bytes, source: str):
     input_shape = tuple(int(d) for d in config["input_shape"])
     policy = dict(config.get("policy", {}))
     builder = build_feature_cnn if kind == "feature_cnn" else build_spectrogram_cnn
-    with policy_scope(
-        compute_dtype=policy.get("compute_dtype"),
-        conv_kernel=policy.get("conv_kernel"),
-    ):
+    # Older bundles also record a convolution-kernel choice in the policy;
+    # there is one convolution lowering now, so only the dtype is read.
+    with policy_scope(compute_dtype=policy.get("compute_dtype")):
         model = builder(
             adapter.classes_.size,
             width_scale=adapter.width_scale,
@@ -408,17 +403,13 @@ class ModelBundle:
                     "CNN and fallback classifier disagree on the label map: "
                     f"{np.asarray(part_classes).tolist()} vs {labels.tolist()}"
                 )
-        policy = get_policy()
         manifest = BundleManifest(
             name=str(name),
             version=str(version),
             labels=np.asarray(labels).tolist(),
             feature_schema=list(feature_schema),
             provenance=dict(provenance or {}),
-            nn_policy={
-                "compute_dtype": str(policy.compute_dtype),
-                "conv_kernel": policy.conv_kernel,
-            },
+            nn_policy={"compute_dtype": str(get_policy().compute_dtype)},
             created_unix=time.time(),
         )
         return cls(manifest=manifest, classifier=classifier, cnn=cnn, scaler=scaler)

@@ -1,29 +1,37 @@
-"""Parity and gradient checks for the conv kernels.
+"""Parity and gradient checks for the conv lowering.
 
-The GEMM (im2col) kernels must agree with the original kernel-offset
-reference path to tight float64 tolerances — forward outputs, input
-gradients, and parameter gradients — across padding modes, kernel
-shapes and channel counts. Finite-difference checks then validate both
-kernel implementations (and the pooling/dense layers) against central
-differences, so the parity test can't be satisfied by two identically
-wrong implementations.
+The production im2col/GEMM convolutions must agree with the original
+kernel-offset reference (``tests/nn/reference.py``) to tight float64
+tolerances — forward outputs, input gradients, and parameter gradients
+— across padding modes, kernel shapes and channel counts.
+Finite-difference checks then validate both implementations (and the
+pooling/dense layers, which have one implementation each) against
+central differences, so the parity test can't be satisfied by two
+identically wrong implementations.
 """
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Conv1D, Conv2D, Dense, MaxPool1D, MaxPool2D
-from repro.nn.policy import policy_scope
+from tests.nn.reference import ReferenceConv1D, ReferenceConv2D
 
 RTOL = 1e-10
 ATOL = 1e-12
 
 
+#: The conv classes of each implementation, by finite-difference test id.
+CONVS = {
+    "reference": (ReferenceConv1D, ReferenceConv2D),
+    "gemm": (Conv1D, Conv2D),
+}
+
+
 def _pair_conv2d(filters, kernel_size, padding, c_in, hw, seed=0):
-    """The same Conv2D built twice, pinned to each kernel implementation."""
+    """The same Conv2D built as the reference and the production layer."""
     layers = []
-    for kernel in ("reference", "gemm"):
-        layer = Conv2D(filters, kernel_size, padding=padding, kernel=kernel)
+    for cls in (ReferenceConv2D, Conv2D):
+        layer = cls(filters, kernel_size, padding=padding)
         layer.build((hw[0], hw[1], c_in), np.random.default_rng(seed))
         layers.append(layer)
     return layers
@@ -31,8 +39,8 @@ def _pair_conv2d(filters, kernel_size, padding, c_in, hw, seed=0):
 
 def _pair_conv1d(filters, kernel_size, padding, c_in, length, seed=0):
     layers = []
-    for kernel in ("reference", "gemm"):
-        layer = Conv1D(filters, kernel_size, padding=padding, kernel=kernel)
+    for cls in (ReferenceConv1D, Conv1D):
+        layer = cls(filters, kernel_size, padding=padding)
         layer.build((length, c_in), np.random.default_rng(seed))
         layers.append(layer)
     return layers
@@ -90,10 +98,6 @@ class TestConv2DParity:
         gem.forward(x + 1.0, training=True)
         assert gem._cols_ws._buf is first
 
-    def test_invalid_kernel_name(self):
-        with pytest.raises(ValueError, match="kernel"):
-            Conv2D(2, 3, kernel="winograd")
-
 
 CONV1D_CASES = [
     # (filters, kernel_size, padding, c_in, length)
@@ -117,21 +121,8 @@ class TestConv1DParity:
         for g_ref, g_gem in zip(ref.grads, gem.grads):
             np.testing.assert_allclose(g_gem, g_ref, rtol=RTOL, atol=ATOL)
 
-    def test_policy_selects_kernel(self):
-        """A layer with no pinned kernel follows the active policy."""
-        layer = Conv1D(2, 3)
-        layer.build((6, 1), np.random.default_rng(0))
-        x = np.random.default_rng(5).normal(size=(2, 6, 1))
-        with policy_scope(conv_kernel="reference"):
-            out_ref = layer.forward(x, training=False)
-            assert layer._fwd_kernel == "reference"
-        with policy_scope(conv_kernel="gemm"):
-            out_gem = layer.forward(x, training=False)
-            assert layer._fwd_kernel == "gemm"
-        np.testing.assert_allclose(out_gem, out_ref, rtol=RTOL, atol=ATOL)
 
-
-# -- finite-difference checks (both kernels) --------------------------------
+# -- finite-difference checks (both implementations) ----------------------------
 
 def _numeric_grad_input(layer, x, eps=1e-5):
     grad = np.zeros_like(x)
@@ -185,38 +176,36 @@ def _check_gradients(layer, x, atol=1e-5):
 @pytest.mark.parametrize("kernel", ["reference", "gemm"])
 class TestFiniteDifference:
     def test_conv2d(self, kernel):
+        conv2d = CONVS[kernel][1]
         for padding in ("same", "valid"):
-            layer = Conv2D(2, (3, 3), padding=padding, kernel=kernel)
+            layer = conv2d(2, (3, 3), padding=padding)
             layer.build((4, 4, 2), np.random.default_rng(0))
             _check_gradients(
                 layer, np.random.default_rng(1).normal(size=(2, 4, 4, 2))
             )
 
     def test_conv2d_pointwise(self, kernel):
-        layer = Conv2D(3, (1, 1), kernel=kernel)
+        layer = CONVS[kernel][1](3, (1, 1))
         layer.build((3, 3, 2), np.random.default_rng(0))
         _check_gradients(layer, np.random.default_rng(2).normal(size=(2, 3, 3, 2)))
 
     def test_conv1d(self, kernel):
+        conv1d = CONVS[kernel][0]
         for padding in ("same", "valid"):
-            layer = Conv1D(3, 3, padding=padding, kernel=kernel)
+            layer = conv1d(3, 3, padding=padding)
             layer.build((7, 2), np.random.default_rng(0))
             _check_gradients(layer, np.random.default_rng(3).normal(size=(2, 7, 2)))
 
+    # Pooling and dense have one implementation: both ids run it.
     def test_maxpool2d(self, kernel):
-        with policy_scope(conv_kernel=kernel):
-            layer = MaxPool2D(2)
-            _check_gradients(
-                layer, np.random.default_rng(4).normal(size=(2, 4, 4, 2))
-            )
+        layer = MaxPool2D(2)
+        _check_gradients(layer, np.random.default_rng(4).normal(size=(2, 4, 4, 2)))
 
     def test_maxpool1d(self, kernel):
-        with policy_scope(conv_kernel=kernel):
-            layer = MaxPool1D(2)
-            _check_gradients(layer, np.random.default_rng(5).normal(size=(2, 6, 2)))
+        layer = MaxPool1D(2)
+        _check_gradients(layer, np.random.default_rng(5).normal(size=(2, 6, 2)))
 
     def test_dense(self, kernel):
-        with policy_scope(conv_kernel=kernel):
-            layer = Dense(3)
-            layer.build((5,), np.random.default_rng(0))
-            _check_gradients(layer, np.random.default_rng(6).normal(size=(3, 5)))
+        layer = Dense(3)
+        layer.build((5,), np.random.default_rng(0))
+        _check_gradients(layer, np.random.default_rng(6).normal(size=(3, 5)))

@@ -14,6 +14,7 @@ from repro.nn.layers import (
     MaxPool2D,
     ReLU,
 )
+from repro.nn.model import Sequential
 
 
 def numerical_grad_input(layer, x, eps=1e-5):
@@ -351,3 +352,25 @@ class TestMaxPool2D:
         out = layer.forward(x, training=True)
         assert out.shape == (1, 1, 1, 1)
         assert out.ravel()[0] == x.max()
+        assert out.shape[1:] == layer.output_shape(x.shape[1:])
+        # Only the height is shorter than the pool: it is pooled whole
+        # while the width still pools in windows of 2.
+        layer = MaxPool2D(2)
+        x = np.random.default_rng(7).normal(size=(3, 1, 8, 2))
+        out = layer.forward(x, training=True)
+        assert out.shape[1:] == layer.output_shape(x.shape[1:]) == (1, 4, 2)
+        np.testing.assert_array_equal(
+            out[:, 0], x[:, 0].reshape(3, 4, 2, 2).max(axis=2)
+        )
+        grad = layer.backward(np.ones_like(out))
+        assert grad.shape == x.shape and grad.sum() == out.size
+
+    def test_one_short_axis_trains(self):
+        """A model whose input is shorter than the pool on one axis fits."""
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(16, 1, 8, 2))
+        y = rng.integers(0, 2, 16)
+        model = Sequential([MaxPool2D(2), Flatten(), Dense(2)], n_classes=2, seed=0)
+        history = model.fit(X, y, epochs=1, batch_size=8)
+        assert np.isfinite(history.loss[0])
+        assert model.predict_proba(X).shape == (16, 2)

@@ -17,7 +17,6 @@ from repro.nn import (
     Sequential,
     dequantize_weights,
     fuse_inference,
-    policy_scope,
     quantize_model,
     quantize_weights,
 )
@@ -212,19 +211,6 @@ class TestQuantizedModel:
 
 
 class TestPolicyKernel:
-    def test_quantized_policy_inference_close_to_float(self):
-        model, X, _ = _fitted_model()
-        p_float = model.predict_proba(X)
-        with policy_scope(conv_kernel="quantized"):
-            p_quant = model.predict_proba(X)
-        assert np.mean(np.argmax(p_quant, 1) == np.argmax(p_float, 1)) >= 0.95
-
-    def test_quantized_policy_refuses_training(self):
-        model, X, y = _fitted_model()
-        with policy_scope(conv_kernel="quantized"):
-            with pytest.raises(RuntimeError, match="inference-only"):
-                model.fit(X, y, epochs=1, batch_size=8)
-
     def test_float_paths_untouched_by_quant_import(self):
         # importing/using the quant module must not perturb default numerics
         model, X, _ = _fitted_model(seed=7)

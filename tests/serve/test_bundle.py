@@ -12,6 +12,8 @@ from repro.serve.bundle import (
     load_bundle,
     save_bundle,
     verify_bundle,
+    _cnn_from_members,
+    _cnn_to_members,
 )
 
 from tests.serve.conftest import make_blobs
@@ -70,7 +72,20 @@ class TestRoundTrip:
     def test_cnn_policy_recorded(self, packed_bundle):
         manifest, _ = verify_bundle(packed_bundle)
         assert manifest.nn_policy["compute_dtype"] in ("float64", "float32")
-        assert manifest.nn_policy["conv_kernel"] in ("gemm", "reference")
+        assert set(manifest.nn_policy) == {"compute_dtype"}
+        cnn_config = json.loads((packed_bundle / "cnn.json").read_text())
+        assert cnn_config["policy"] == manifest.nn_policy
+
+    def test_legacy_conv_kernel_key_ignored(self, fitted_cnn, blob_data):
+        """A CNN config written with the old "conv_kernel" entry still loads."""
+        X, _ = blob_data
+        config, weights = _cnn_to_members(fitted_cnn)
+        legacy = json.loads(json.dumps(config))
+        legacy["policy"]["conv_kernel"] = "gemm"
+        loaded = _cnn_from_members(legacy, weights, "legacy")
+        assert np.array_equal(
+            fitted_cnn.predict_proba(X), loaded.predict_proba(X)
+        )
 
 
 class TestCreateValidation:
