@@ -34,10 +34,10 @@ parallel. This module turns that loop into an engine:
 
 The continuous-session (handheld) protocol is inherently sequential —
 the hand-motion process is one continuous waveform across the session —
-so there the engine parallelises the utterance *rendering*, keeps the
-transmit chain serial (preserving the exact numerics of
-:func:`repro.phone.recording.record_session`) and runs the shared
-product step over the session's regions in float64.
+so there the engine renders the utterances in ``render_batch`` chunks
+(parallel across chunks), keeps the transmit chain serial (preserving
+the exact numerics of :func:`repro.phone.recording.record_session`) and
+runs the shared product step over the session's regions in float64.
 """
 
 from __future__ import annotations
@@ -385,6 +385,14 @@ def _item_channel(config: _PassConfig, index: int) -> VibrationChannel:
     return channel
 
 
+def _render_chunk(corpus: Corpus, specs: Sequence[UtteranceSpec]) -> List[np.ndarray]:
+    """``corpus.render_batch(specs)``, or per-spec ``render`` for a corpus without one."""
+    render_batch = getattr(corpus, "render_batch", None)
+    if render_batch is not None:
+        return render_batch(specs)
+    return [corpus.render(spec) for spec in specs]
+
+
 def _detect_chunk(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]]):
     """Render→transmit→detect one stacked chunk of ``(index, spec)`` items.
 
@@ -402,12 +410,8 @@ def _detect_chunk(config: _PassConfig, items: Sequence[Tuple[int, UtteranceSpec]
     rngs = [_item_rng(config.seed, index) for index in indices]
     n = len(items)
 
-    render_batch = getattr(corpus, "render_batch", None)
     with trace("render", n=n, metric_labels={}) as span:
-        if render_batch is not None:
-            audios = render_batch(specs)
-        else:
-            audios = [corpus.render(spec) for spec in specs]
+        audios = _render_chunk(corpus, specs)
     stats.renders += n
     stats.render_s += span.duration_s
 
@@ -719,20 +723,31 @@ def _collect_continuous(
 
     The transmit chain is inherently serial (the hand-motion process is
     continuous across the session), so parallelism is applied to the
-    utterance rendering only; the session numerics are identical to a
-    fully serial run.
+    utterance rendering only: chunks of :data:`DEFAULT_BATCH_CHUNK` specs
+    go through ``corpus.render_batch`` (byte-identical per spec to
+    ``render``, and routed through ``render`` when a subclass overrides
+    only that). The session numerics are identical to a fully serial run.
     """
     from repro.phone.recording import record_session
 
     stats = CollectionStats(n_jobs=max(1, int(n_jobs)), executor=executor)
 
-    # Pre-render in parallel; the session then looks waveforms up.
+    # Pre-render in parallel chunks; the session then looks waveforms up.
     render_executor = "serial" if executor == "process" else executor
+    chunks = [
+        specs[i : i + DEFAULT_BATCH_CHUNK]
+        for i in range(0, len(specs), DEFAULT_BATCH_CHUNK)
+    ]
     with trace("render", n=len(specs), metric_labels={}) as span:
         waves = run_tasks(
-            config.corpus.render, specs, n_jobs=n_jobs, executor=render_executor
+            lambda chunk: _render_chunk(config.corpus, chunk),
+            chunks,
+            n_jobs=n_jobs,
+            executor=render_executor,
         )
-    rendered: Dict[UtteranceSpec, np.ndarray] = dict(zip(specs, waves))
+    rendered: Dict[UtteranceSpec, np.ndarray] = dict(
+        zip(specs, [wave for chunk_waves in waves for wave in chunk_waves])
+    )
     stats.renders += len(specs)
     stats.render_s += span.duration_s
 

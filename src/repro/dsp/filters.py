@@ -7,9 +7,10 @@ destroy the feature information and is therefore *not* used on the feature
 path). Both are expressed through the helpers here.
 
 Design is delegated to :func:`scipy.signal.butter` in second-order-section
-form for numerical stability; filtering uses :func:`scipy.signal.sosfiltfilt`
-so the detection path adds no group delay (matching the offline MATLAB
-analysis in the paper).
+form for numerical stability; the filtering helpers reuse memoized designs,
+which are bitwise what a fresh design returns. Filtering uses
+:func:`scipy.signal.sosfiltfilt` so the detection path adds no group delay
+(matching the offline MATLAB analysis in the paper).
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def butter_highpass(cutoff_hz: float, fs: float, order: int = 4) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _cached_butter_highpass(cutoff_hz: float, fs: float, order: int) -> np.ndarray:
-    sos = butter_highpass(cutoff_hz, fs, order)
+def _cached_design(design, *args) -> np.ndarray:
+    sos = design(*args)
     sos.setflags(write=False)
     return sos
 
@@ -58,11 +59,11 @@ def cached_butter_highpass(cutoff_hz: float, fs: float, order: int = 4) -> np.nd
 
     Butterworth design is deterministic in ``(cutoff, fs, order)``, so the
     cached sections are bitwise what a fresh design returns; the batched
-    collection pipeline uses this to avoid re-designing the same filter
-    once per utterance. Returns a writable copy (scipy's filters require
-    writable coefficient buffers).
+    collection pipeline and :func:`highpass` use this to avoid
+    re-designing the same filter once per call. Returns a writable copy
+    (scipy's filters require writable coefficient buffers).
     """
-    return _cached_butter_highpass(float(cutoff_hz), float(fs), int(order)).copy()
+    return _cached_design(butter_highpass, float(cutoff_hz), float(fs), int(order)).copy()
 
 
 def butter_lowpass(cutoff_hz: float, fs: float, order: int = 4) -> np.ndarray:
@@ -215,16 +216,20 @@ def sosfilt_zero_phase_batch(sos: np.ndarray, xs) -> list:
 
 def highpass(x: np.ndarray, cutoff_hz: float, fs: float, order: int = 4) -> np.ndarray:
     """Zero-phase Butterworth high-pass of a 1-D signal."""
-    return sosfilt_zero_phase(butter_highpass(cutoff_hz, fs, order), x)
+    return sosfilt_zero_phase(cached_butter_highpass(cutoff_hz, fs, order), x)
 
 
 def lowpass(x: np.ndarray, cutoff_hz: float, fs: float, order: int = 4) -> np.ndarray:
     """Zero-phase Butterworth low-pass of a 1-D signal."""
-    return sosfilt_zero_phase(butter_lowpass(cutoff_hz, fs, order), x)
+    sos = _cached_design(butter_lowpass, float(cutoff_hz), float(fs), int(order))
+    return sosfilt_zero_phase(sos.copy(), x)
 
 
 def bandpass(
     x: np.ndarray, low_hz: float, high_hz: float, fs: float, order: int = 2
 ) -> np.ndarray:
     """Zero-phase Butterworth band-pass of a 1-D signal."""
-    return sosfilt_zero_phase(butter_bandpass(low_hz, high_hz, fs, order), x)
+    sos = _cached_design(
+        butter_bandpass, float(low_hz), float(high_hz), float(fs), int(order)
+    )
+    return sosfilt_zero_phase(sos.copy(), x)

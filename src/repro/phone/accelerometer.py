@@ -69,6 +69,7 @@ class Accelerometer:
         fs_in: float,
         rng: np.random.Generator,
         slow_component: Optional[np.ndarray] = None,
+        phase: Optional[float] = None,
     ) -> np.ndarray:
         """Digitise a high-rate vibration waveform.
 
@@ -80,6 +81,10 @@ class Accelerometer:
             Optional additional low-frequency acceleration (hand motion,
             envelope-coupled drift) at the same rate, added *before*
             sampling.
+        phase:
+            ADC clock phase in ``[0, 1)``; ``None`` draws it from ``rng``.
+            A caller that needs the phase in advance (to know which
+            samples the ADC reads) draws it itself and passes it here.
         """
         vibration = np.asarray(vibration, dtype=float)
         if vibration.ndim != 1:
@@ -93,7 +98,8 @@ class Accelerometer:
                     f"{slow_component.shape} != vibration shape {vibration.shape}"
                 )
             total = total + slow_component
-        phase = float(rng.uniform(0.0, 1.0))
+        if phase is None:
+            phase = float(rng.uniform(0.0, 1.0))
         sampled = sample_and_decimate(total, fs_in, self.fs, phase=phase)
         if self.include_gravity:
             sampled = sampled + GRAVITY

@@ -66,8 +66,13 @@ class Gyroscope:
         fs_in: float,
         rng: np.random.Generator,
         slow_component: Optional[np.ndarray] = None,
+        phase: Optional[float] = None,
     ) -> np.ndarray:
-        """Digitise chassis vibration into an angular-rate stream."""
+        """Digitise chassis vibration into an angular-rate stream.
+
+        ``phase`` is the ADC clock phase, drawn from ``rng`` when ``None``
+        (see :meth:`repro.phone.accelerometer.Accelerometer.sample`).
+        """
         vibration = np.asarray(vibration, dtype=float)
         if vibration.ndim != 1:
             raise ValueError(f"expected a 1-D signal, got shape {vibration.shape}")
@@ -80,7 +85,8 @@ class Gyroscope:
                     f"{slow_component.shape} != vibration shape {vibration.shape}"
                 )
             total = total + self.rotational_coupling * slow_component
-        phase = float(rng.uniform(0.0, 1.0))
+        if phase is None:
+            phase = float(rng.uniform(0.0, 1.0))
         sampled = sample_and_decimate(total, fs_in, self.fs, phase=phase)
         if self.noise_rms > 0:
             sampled = sampled + rng.normal(0.0, self.noise_rms, sampled.size)

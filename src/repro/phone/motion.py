@@ -21,11 +21,16 @@ transmitted chunk-by-chunk (utterance at a time), so the process keeps
 absolute time and filter state across chunks — the noise is one
 continuous waveform, not independent per-chunk draws (which would put
 discontinuity energy above 8 Hz at every chunk boundary).
+
+The tones are evaluated only at the sample points the accelerometer ADC
+reads (:meth:`MotionProcess.advance` with ``at``); the drift needs the
+whole drive envelope and is computed at every audio sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.signal import lfilter
@@ -94,13 +99,22 @@ class MotionProcess:
             out += np.cos(2.0 * np.pi * f * t + phi)
         return amp * out
 
-    def advance(self, n: int, fs: float) -> np.ndarray:
-        """Next ``n`` samples of hand/body motion acceleration."""
+    def advance(self, n: int, fs: float, at: Optional[np.ndarray] = None) -> np.ndarray:
+        """Next ``n`` samples of hand/body motion acceleration.
+
+        With ``at`` (indices into the ``n`` samples) only those samples
+        are evaluated and returned, in ``at``'s order; time still
+        advances by ``n``. Each tone is a pure function of its sample
+        index, so the values are bitwise the dense ones at ``at``. The
+        channel passes the ADC's :func:`~repro.dsp.resample.sample_support`
+        here: the sensor reads ~2 of every ``fs / accel_fs`` samples.
+        """
         if n <= 0:
             return np.zeros(0)
-        t = (self._t_samples + np.arange(n)) / fs
+        idx = np.arange(n) if at is None else np.asarray(at)
+        t = (self._t_samples + idx) / fs
         self._t_samples += n
-        out = np.zeros(n)
+        out = np.zeros(idx.size)
         if self.config.tremor_rms > 0:
             out += self._tone_sum(self._tremor, t)
         if self.config.sway_rms > 0:

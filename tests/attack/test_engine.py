@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attack.engine import (
+    DEFAULT_BATCH_CHUNK,
     CollectionCache,
     CollectionStats,
     collect_datasets,
@@ -18,6 +19,7 @@ from repro.attack.pipeline import (
     collect_spectrogram_dataset,
 )
 from repro.attack.regions import RegionDetector
+from repro.datasets.base import Corpus
 from repro.eval.io import load_collection, save_collection
 from repro.eval.suite import run_table
 
@@ -56,6 +58,43 @@ class TestExecutors:
         )
         assert np.array_equal(serial.features.X, para.features.X)
         assert np.array_equal(serial.spectrograms.images, para.spectrograms.images)
+
+    def test_continuous_multi_chunk_thread_matches_serial(self, tiny_tess, ear_channel):
+        """Rendering over several ``render_batch`` chunks on two threads
+        gives byte-identical products to the serial pass."""
+        specs = _subset(tiny_tess, DEFAULT_BATCH_CHUNK + 9)
+        serial = collect_datasets(tiny_tess, ear_channel, specs=specs, seed=4)
+        para = collect_datasets(
+            tiny_tess, ear_channel, specs=specs, seed=4, n_jobs=2, executor="thread"
+        )
+        assert serial.features.X.shape[0] > 0
+        assert serial.features.X.tobytes() == para.features.X.tobytes()
+        assert serial.spectrograms.images.tobytes() == para.spectrograms.images.tobytes()
+        assert np.array_equal(serial.features.y, para.features.y)
+        assert np.array_equal(serial.spectrograms.y, para.spectrograms.y)
+        assert serial.stats.renders == para.stats.renders == len(specs)
+
+    def test_continuous_uses_render_override(self, tiny_tess, ear_channel):
+        """A subclass overriding only ``render`` still renders the session."""
+        calls = []
+
+        class LouderCorpus(Corpus):
+            def render(self, spec):
+                calls.append(spec.utterance_id)
+                return 2.0 * super().render(spec)
+
+        louder = LouderCorpus(
+            name=tiny_tess.name,
+            emotions=tiny_tess.emotions,
+            speakers=dict(tiny_tess.speakers),
+            specs=list(tiny_tess.specs),
+            audio_fs=tiny_tess.audio_fs,
+        )
+        specs = _subset(tiny_tess, 6)
+        base = collect_datasets(tiny_tess, ear_channel, specs=specs, seed=2)
+        loud = collect_datasets(louder, ear_channel, specs=specs, seed=2)
+        assert sorted(calls) == sorted(spec.utterance_id for spec in specs)
+        assert loud.features.X.tobytes() != base.features.X.tobytes()
 
     def test_unknown_executor_rejected(self, tiny_tess, loud_channel):
         with pytest.raises(ValueError):

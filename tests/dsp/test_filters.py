@@ -104,3 +104,25 @@ class TestZeroPhase:
         sos = butter_highpass(8.0, 420.0, order=4)
         y = sosfilt_zero_phase(sos, np.ones(10))
         assert y.shape == (10,)
+
+
+class TestCachedDesigns:
+    """The helpers' memoized designs filter bitwise like a fresh design."""
+
+    @pytest.mark.parametrize("call", [
+        lambda x: (highpass(x, 8.0, 420.0), butter_highpass(8.0, 420.0)),
+        lambda x: (highpass(x, 250, 8000, order=2), butter_highpass(250, 8000, 2)),
+        lambda x: (lowpass(x, 20.0, 420.0), butter_lowpass(20.0, 420.0)),
+        lambda x: (bandpass(x, 5.0, 60.0, 420.0), butter_bandpass(5.0, 60.0, 420.0)),
+    ])
+    def test_matches_uncached_design(self, call):
+        x = np.random.default_rng(3).normal(size=2000)
+        for _ in range(2):  # first call designs, second hits the cache
+            got, sos = call(x)
+            assert got.tobytes() == sosfilt_zero_phase(sos, x).tobytes()
+
+    def test_invalid_cutoff_still_raises(self):
+        with pytest.raises(ValueError):
+            lowpass(np.zeros(100), 300.0, 420.0)
+        with pytest.raises(ValueError):
+            bandpass(np.zeros(100), 60.0, 5.0, 420.0)

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dsp.resample import decimate_no_antialias, linear_resample, sample_and_decimate
+from repro.dsp.resample import (
+    decimate_no_antialias,
+    linear_resample,
+    sample_and_decimate,
+    sample_support,
+)
 
 
 def tone(freq, fs, duration=1.0):
@@ -89,3 +96,50 @@ class TestDecimateNoAntialias:
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             decimate_no_antialias(np.ones(5), 0)
+
+
+def _assert_reads_only_support(n, fs_out, phase, seed=0):
+    """NaN outside the support leaves the ADC output bitwise unchanged."""
+    x = np.random.default_rng(seed).normal(size=n)
+    support = sample_support(n, 8000.0, fs_out, phase)
+    poisoned = np.full(n, np.nan)
+    poisoned[support] = x[support]
+    clean = sample_and_decimate(x, 8000.0, fs_out, phase=phase)
+    got = sample_and_decimate(poisoned, 8000.0, fs_out, phase=phase)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == clean.tobytes()
+
+
+class TestSampleSupport:
+    @pytest.mark.parametrize("fs_out", [420.0, 410.0, 200.0])
+    @pytest.mark.parametrize("phase", [0.0, float(np.nextafter(1.0, 0.0))])
+    @pytest.mark.parametrize("n", [0, 1, 2, 19, 8017])
+    def test_adc_reads_only_support(self, fs_out, phase, n):
+        _assert_reads_only_support(n, fs_out, phase)
+
+    @given(
+        st.integers(0, 4000),
+        st.sampled_from([420.0, 410.0, 200.0, 500.0]),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adc_reads_only_support_property(self, n, fs_out, phase, seed):
+        _assert_reads_only_support(n, fs_out, phase, seed)
+
+    def test_sorted_unique_in_range(self):
+        support = sample_support(8017, 8000.0, 420.0, 0.37)
+        assert support.dtype.kind == "i"
+        assert np.all(np.diff(support) > 0)
+        assert support[0] >= 0 and support[-1] < 8017
+
+    def test_about_two_samples_per_output(self):
+        support = sample_support(80000, 8000.0, 420.0, 0.5)
+        assert support.size == pytest.approx(2 * 4200, rel=0.01)
+
+    def test_empty(self):
+        assert sample_support(0, 8000.0, 420.0).size == 0
+
+    def test_rejects_bad_phase(self):
+        with pytest.raises(ValueError, match="phase"):
+            sample_support(100, 8000.0, 420.0, phase=1.0)

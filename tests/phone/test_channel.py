@@ -1,10 +1,13 @@
 """Tests for repro.phone.channel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.phone.accelerometer import GRAVITY
 from repro.phone.channel import Placement, SpeakerMode, VibrationChannel
+from tests.phone.reference import reference_transmit
 
 
 def speech_like(fs=8000.0, duration=1.0, seed=0):
@@ -98,3 +101,47 @@ class TestTransmit:
             out = channel.transmit(x, 8000.0)
             return np.std(out - out.mean())
         assert signal_std("oneplus7t") > signal_std("pixel5")
+
+
+class TestDenseOracle:
+    """Sparse motion tones give the dense oracle's traces byte for byte."""
+
+    @pytest.mark.parametrize("sensor", ["accelerometer", "gyroscope"])
+    @pytest.mark.parametrize("environment", [None, "busy_office"])
+    @pytest.mark.parametrize("sample_rate", [None, 200.0])
+    def test_handheld_session_matches_dense_transmit(
+        self, sensor, environment, sample_rate
+    ):
+        def make():
+            channel = VibrationChannel(
+                "oneplus9", mode="ear_speaker", placement="handheld",
+                sensor=sensor, environment=environment,
+                sample_rate=sample_rate, seed=11,
+            )
+            # Unquantised output, so a last-bit change in the slow
+            # component's sum cannot hide below the LSB.
+            channel._accel = dataclasses.replace(channel._accel, lsb=0.0)
+            return channel
+
+        gap = np.zeros(2800)
+        chunks = [gap, speech_like(seed=1), gap, np.zeros(0),
+                  speech_like(duration=0.63, seed=2), np.zeros(1), gap[:19]]
+        fast, dense = make(), make()
+        fast_rng, dense_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for chunk in chunks:
+            got = fast.transmit(chunk, 8000.0, fast_rng)
+            want = reference_transmit(dense, chunk, 8000.0, dense_rng)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # Both sessions consumed the same draws and motion time.
+        assert fast_rng.random() == dense_rng.random()
+        assert fast._motion._t_samples == dense._motion._t_samples
+
+    def test_default_rng_matches_dense_transmit(self):
+        fast = VibrationChannel("oneplus7t", mode="ear_speaker", placement="handheld")
+        dense = VibrationChannel("oneplus7t", mode="ear_speaker", placement="handheld")
+        for seed in range(3):
+            x = speech_like(duration=0.4, seed=seed)
+            assert fast.transmit(x, 8000.0).tobytes() == (
+                reference_transmit(dense, x, 8000.0).tobytes()
+            )

@@ -27,6 +27,17 @@ class TestAdvance:
         parts = np.concatenate([b.advance(800, 8000.0), b.advance(1200, 8000.0)])
         assert np.allclose(whole, parts)
 
+    def test_at_indices_match_dense_bytes(self):
+        """Evaluating at indices gives the dense samples there, and time
+        still advances by the full chunk."""
+        a = MotionProcess(HandheldMotion(), np.random.default_rng(3))
+        b = MotionProcess(HandheldMotion(), np.random.default_rng(3))
+        for n in (800, 1201, 5):
+            at = np.unique(np.random.default_rng(n).integers(0, n, n // 5))
+            dense = a.advance(n, 8000.0)
+            assert b.advance(n, 8000.0, at=at).tobytes() == dense[at].tobytes()
+        assert a._t_samples == b._t_samples == 2006
+
     def test_band_limited_below_8hz(self, process):
         """The detection high-pass must remove most motion noise."""
         fs = 420.0
